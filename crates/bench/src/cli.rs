@@ -683,9 +683,11 @@ pub fn run_main_with(
             Ok(context) => {
                 if args.resume {
                     eprintln!(
-                        "{slug}: resuming from {} ({} completed cell(s) restored)",
+                        "{slug}: resuming from {} ({} completed cell(s) restored, \
+                         {} byte(s) of torn tail discarded)",
                         path.display(),
-                        context.restored_cells()
+                        context.restored_cells(),
+                        context.discarded_bytes()
                     );
                 }
                 par::set_checkpoint(Some(context));

@@ -1,9 +1,10 @@
 //! End-to-end CLI tests for `--checkpoint` / `--resume`: a checkpointed
-//! fig6 run that loses the tail of its journal resumes to a report
-//! byte-identical to the uninterrupted one, a damaged journal refuses
-//! resume with a clear message and a nonzero exit, and the supervisor /
-//! checkpoint environment knobs degrade into the report's `warnings`
-//! array instead of failing the run.
+//! fig6 run that loses the tail of its journal — whole records or half
+//! of a torn final append — resumes to a report byte-identical to the
+//! uninterrupted one, a damaged journal refuses resume with a clear
+//! message and a nonzero exit, and the supervisor / checkpoint environment
+//! knobs degrade into the report's `warnings` array instead of failing the
+//! run.
 //!
 //! These drive the real binaries through `CARGO_BIN_EXE_*`, so they cover
 //! the full durability path: flag parsing → journal create/resume →
@@ -78,8 +79,7 @@ fn canonical_report(path: &std::path::Path) -> String {
 }
 
 /// Simulates a crash mid-sweep: keeps the journal header plus one data
-/// record and discards the rest, as a SIGKILL between atomic appends
-/// would.
+/// record and discards the rest, as a SIGKILL between two appends would.
 fn truncate_journal(path: &std::path::Path) {
     let text = std::fs::read_to_string(path).expect("journal exists");
     let lines: Vec<&str> = text.lines().collect();
@@ -148,6 +148,55 @@ fn interrupted_checkpointed_run_resumes_byte_identically() {
         canonical_report(&resumed_report),
         reference,
         "an interrupted-then-resumed run must be byte-identical to an uninterrupted one"
+    );
+}
+
+#[test]
+fn a_torn_final_append_is_dropped_and_its_cell_re_run() {
+    let full_report = tmp_path("fig6-torn-full.json");
+    let resumed_report = tmp_path("fig6-torn-resumed.json");
+    let journal = tmp_path("fig6-torn.jsonl");
+    let output = fig6()
+        .args(["--scale", "quick", "--checkpoint"])
+        .arg(&journal)
+        .args(["--json"])
+        .arg(&full_report)
+        .output()
+        .expect("fig6 binary runs");
+    assert!(output.status.success(), "{}", stderr_of(&output));
+
+    // Crash mid-append: the header, the first half of the records, then
+    // half of the next record with no newline.
+    let text = std::fs::read_to_string(&journal).expect("journal exists");
+    let lines: Vec<&str> = text.lines().collect();
+    let records = lines.len() - 1;
+    assert!(records >= 2, "journal too short: {records} record(s)");
+    let kept = records / 2;
+    let next = lines[1 + kept].as_bytes();
+    let torn = &next[..next.len() / 2];
+    let mut cut = lines[..=kept].join("\n").into_bytes();
+    cut.push(b'\n');
+    cut.extend_from_slice(torn);
+    std::fs::write(&journal, cut).expect("journal is writable");
+
+    let output = fig6()
+        .args(["--scale", "quick", "--resume", "--checkpoint"])
+        .arg(&journal)
+        .args(["--json"])
+        .arg(&resumed_report)
+        .output()
+        .expect("fig6 binary runs");
+    assert!(output.status.success(), "{}", stderr_of(&output));
+    let stderr = stderr_of(&output);
+    let expected = format!(
+        "{kept} completed cell(s) restored, {} byte(s) of torn tail discarded",
+        torn.len()
+    );
+    assert!(stderr.contains(&expected), "stderr: {stderr}");
+    assert_eq!(
+        canonical_report(&resumed_report),
+        canonical_report(&full_report),
+        "a run resumed past a torn append must match the uninterrupted one"
     );
 }
 

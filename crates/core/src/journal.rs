@@ -23,25 +23,38 @@
 //! {"body":{"sweep":"fig6","cell":0,"payload":…,"snapshot":…},"hash":"…"}
 //! ```
 //!
-//! Every append rewrites the whole journal to `<path>.tmp` and renames it
-//! into place, so the on-disk file is atomic-per-record: a crash leaves
-//! either the previous complete journal or the new one, never a torn tail
-//! that silently drops state. (Hand-truncated or edited files are caught
-//! by the per-record hash instead.) Record order in the file is completion
-//! order — nondeterministic under parallelism — but resume is keyed by
+//! Appends are in place: each completed cell opens the journal in append
+//! mode and writes its record plus `\n` with one `write_all`, so an append
+//! costs the size of one record, not of the whole file. Only the header is
+//! staged: [`CheckpointContext::create`] writes it to `<file name>.tmp` and
+//! renames that into place, so a fresh journal is never half a header. A
+//! failed append cuts the file back to the last complete record before the
+//! writer mutes itself. Record order in the file is completion order —
+//! nondeterministic under parallelism — but resume is keyed by
 //! `(sweep, cell)`, so ordering never leaks into merged reports.
+//!
+//! # Torn tails
+//!
+//! A kill during an append can leave a partial final record. Every
+//! complete record ends in `\n`, so a file whose last byte is not `\n`
+//! has a torn final append. Resume treats that unterminated last line
+//! alone leniently: if it fails verification it is dropped and the file
+//! truncated to the last `\n` (the cell simply re-runs, and cells are
+//! seed-deterministic, so the report is unchanged); if it verifies it is
+//! kept, and the next append writes the missing `\n` first.
 //!
 //! # Trust policy
 //!
-//! The loader is strict: unparseable lines, hash mismatches, schema or
-//! run-identity (binary / scale / fault seed) mismatches, and duplicate
-//! cell keys all produce a typed [`Error::Journal`] whose message starts
-//! with `resume refused:`. Write failures *during* a run degrade instead:
-//! the writer goes quiet, the sweep continues uncheckpointed, and one
-//! warning lands in the report.
+//! Apart from the torn tail above, the loader is strict: unparseable
+//! lines, hash mismatches, schema or run-identity (binary / scale / fault
+//! seed) mismatches, and duplicate cell keys all produce a typed
+//! [`Error::Journal`] whose message starts with `resume refused:`. Write
+//! failures *during* a run degrade instead: the writer goes quiet, the
+//! sweep continues uncheckpointed, and one warning lands in the report.
 
 use std::collections::HashMap;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -231,12 +244,78 @@ pub struct RestoredCell {
     pub snapshot: Option<Snapshot>,
 }
 
-/// The writer half: the full journal (header + records) kept in memory and
-/// rewritten atomically on every append.
+/// The sealed journal line for one completed cell.
+fn cell_record(sweep: &str, cell: usize, payload: Json, snapshot: Option<&Snapshot>) -> String {
+    let mut body = Json::object();
+    body.set("sweep", Json::Str(sweep.to_string()));
+    body.set("cell", Json::UInt(cell as u64));
+    body.set("payload", payload);
+    body.set("snapshot", snapshot.map_or(Json::Null, encode_snapshot));
+    seal(body)
+}
+
+/// Applies one verified record during resume: line 1 is the header, which
+/// must match this run; every later line is a cell, indexed by key.
+fn restore(
+    body: &Json,
+    number: usize,
+    header: &JournalHeader,
+    restored: &mut HashMap<(String, usize), RestoredCell>,
+) -> Result<(), Error> {
+    if number == 1 {
+        return header.check(body);
+    }
+    let sweep = body
+        .get("sweep")
+        .and_then(Json::as_str)
+        .ok_or_else(|| malformed(number, "missing \"sweep\""))?
+        .to_string();
+    let cell = body
+        .get("cell")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| malformed(number, "missing \"cell\""))? as usize;
+    let payload = body
+        .get("payload")
+        .ok_or_else(|| malformed(number, "missing \"payload\""))?
+        .clone();
+    let snapshot = match body.get("snapshot") {
+        None | Some(Json::Null) => None,
+        Some(encoded) => Some(decode_snapshot(encoded).map_err(|e| {
+            Error::journal(format!(
+                "resume refused: journal line {number} holds an undecodable snapshot ({e})"
+            ))
+        })?),
+    };
+    let key = (sweep, cell);
+    if restored.contains_key(&key) {
+        return Err(Error::journal(format!(
+            "resume refused: duplicate record for {} cell {} at journal line {number}",
+            key.0, key.1
+        )));
+    }
+    restored.insert(key, RestoredCell { payload, snapshot });
+    Ok(())
+}
+
+/// The staging name for a journal's header: the full file name plus
+/// `.tmp`, so journals that differ only in extension never share one.
+fn staging_path(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
+/// The writer half: appends records to the file in place. It holds no copy
+/// of the journal, only the byte length of its complete records.
 #[derive(Debug)]
 struct JournalWriter {
     path: PathBuf,
-    lines: Vec<String>,
+    /// Bytes of the file that hold complete records; a failed append is
+    /// cut back to this length.
+    len: u64,
+    /// The file ends in a verified record without its `\n` (a torn append
+    /// that lost only the newline); the next append writes it first.
+    unterminated: bool,
     /// First I/O failure; once set, appends stop and the message surfaces
     /// as a report warning at the next merge.
     fault: Option<String>,
@@ -244,36 +323,50 @@ struct JournalWriter {
 }
 
 impl JournalWriter {
-    fn flush(&mut self) -> std::io::Result<()> {
-        let mut contents = self.lines.join("\n");
-        contents.push('\n');
-        let tmp = self.path.with_extension("jsonl.tmp");
-        fs::write(&tmp, contents)?;
-        fs::rename(&tmp, &self.path)
+    /// Appends `bytes` to the existing file. Never creates it: a journal
+    /// deleted mid-run must surface as a write fault, not restart empty.
+    fn write(&self, bytes: &[u8]) -> std::io::Result<()> {
+        let mut file = fs::OpenOptions::new().append(true).open(&self.path)?;
+        file.write_all(bytes).inspect_err(|_| {
+            // Drop the partial record so the file stays a journal of
+            // complete records; if this fails too, resume sees a torn tail.
+            let _ = file.set_len(self.len);
+        })
     }
 
-    fn append(&mut self, line: String) {
+    fn append(&mut self, line: &str) {
         if self.fault.is_some() {
             return;
         }
-        self.lines.push(line);
-        if let Err(e) = self.flush() {
-            self.lines.pop();
-            self.fault = Some(format!(
-                "checkpointing disabled: cannot write journal {}: {e}",
-                self.path.display()
-            ));
+        let mut record = String::with_capacity(line.len() + 2);
+        if self.unterminated {
+            record.push('\n');
+        }
+        record.push_str(line);
+        record.push('\n');
+        match self.write(record.as_bytes()) {
+            Ok(()) => {
+                self.len += record.len() as u64;
+                self.unterminated = false;
+            }
+            Err(e) => {
+                self.fault = Some(format!(
+                    "checkpointing disabled: cannot write journal {}: {e}",
+                    self.path.display()
+                ));
+            }
         }
     }
 }
 
 /// A live checkpointing session, shared by the sweep engine's workers.
-/// Cloning is cheap (both halves are `Arc`s); the engine holds one in a
-/// process-wide slot armed by the bench CLI.
+/// Cloning is cheap (the shared halves are `Arc`s); the engine holds one
+/// in a process-wide slot armed by the bench CLI.
 #[derive(Debug, Clone)]
 pub struct CheckpointContext {
     writer: Arc<Mutex<JournalWriter>>,
     restored: Arc<HashMap<(String, usize), RestoredCell>>,
+    discarded: u64,
 }
 
 impl CheckpointContext {
@@ -285,27 +378,35 @@ impl CheckpointContext {
     /// permissions) — a run asked to checkpoint must fail loudly if it
     /// can't, rather than silently running undurable.
     pub fn create(path: impl Into<PathBuf>, header: &JournalHeader) -> Result<Self, Error> {
-        let mut writer = JournalWriter {
-            path: path.into(),
-            lines: vec![seal(header.to_json())],
-            fault: None,
-            reported: false,
-        };
-        writer.flush().map_err(|e| {
-            Error::journal(format!(
-                "cannot create checkpoint journal {}: {e}",
-                writer.path.display()
-            ))
-        })?;
+        let path = path.into();
+        let mut contents = seal(header.to_json());
+        contents.push('\n');
+        let staged = staging_path(&path);
+        fs::write(&staged, &contents)
+            .and_then(|()| fs::rename(&staged, &path))
+            .map_err(|e| {
+                Error::journal(format!(
+                    "cannot create checkpoint journal {}: {e}",
+                    path.display()
+                ))
+            })?;
         Ok(CheckpointContext {
-            writer: Arc::new(Mutex::new(writer)),
+            writer: Arc::new(Mutex::new(JournalWriter {
+                path,
+                len: contents.len() as u64,
+                unterminated: false,
+                fault: None,
+                reported: false,
+            })),
             restored: Arc::new(HashMap::new()),
+            discarded: 0,
         })
     }
 
     /// Loads an existing journal for resumption: verifies every record,
     /// checks the header against this run's identity, and indexes the
-    /// completed cells. New completions append to the same file.
+    /// completed cells. A torn final append is dropped (see the module
+    /// docs). New completions append to the same file.
     ///
     /// # Errors
     ///
@@ -313,70 +414,67 @@ impl CheckpointContext {
     /// corruption or identity mismatch — see the module docs.
     pub fn resume(path: impl AsRef<Path>, header: &JournalHeader) -> Result<Self, Error> {
         let path = path.as_ref();
-        let contents = fs::read_to_string(path).map_err(|e| {
+        let unreadable = |e: &dyn std::fmt::Display| {
             Error::journal(format!(
                 "resume refused: cannot read journal {}: {e}",
                 path.display()
             ))
-        })?;
-        let mut lines = Vec::new();
+        };
+        let bytes = fs::read(path).map_err(|e| unreadable(&e))?;
+        // Everything up to the last `\n` is complete records; anything after
+        // it is a torn final append.
+        let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let (head, tail) = bytes.split_at(complete);
+        let head = std::str::from_utf8(head).map_err(|e| unreadable(&e))?;
+        let mut records = 0;
+        let mut number = 0;
         let mut restored = HashMap::new();
-        for (i, line) in contents.lines().enumerate() {
-            let number = i + 1;
+        for line in head.lines() {
+            number += 1;
             if line.trim().is_empty() {
                 continue;
             }
-            let body = unseal(line, number)?;
-            if number == 1 {
-                header.check(&body)?;
-            } else {
-                let sweep = body
-                    .get("sweep")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| malformed(number, "missing \"sweep\""))?
-                    .to_string();
-                let cell = body
-                    .get("cell")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| malformed(number, "missing \"cell\""))?
-                    as usize;
-                let payload = body
-                    .get("payload")
-                    .ok_or_else(|| malformed(number, "missing \"payload\""))?
-                    .clone();
-                let snapshot = match body.get("snapshot") {
-                    None | Some(Json::Null) => None,
-                    Some(encoded) => Some(decode_snapshot(encoded).map_err(|e| {
-                        Error::journal(format!(
-                            "resume refused: journal line {number} holds an undecodable snapshot ({e})"
-                        ))
-                    })?),
-                };
-                let key = (sweep, cell);
-                if restored.contains_key(&key) {
-                    return Err(Error::journal(format!(
-                        "resume refused: duplicate record for {} cell {} at journal line {number}",
-                        key.0, key.1
-                    )));
-                }
-                restored.insert(key, RestoredCell { payload, snapshot });
-            }
-            lines.push(line.to_string());
+            restore(&unseal(line, number)?, number, header, &mut restored)?;
+            records += 1;
         }
-        if lines.is_empty() {
+        let torn_body = std::str::from_utf8(tail)
+            .ok()
+            .and_then(|line| unseal(line, number + 1).ok());
+        let kept_tail = torn_body.is_some();
+        if let Some(body) = torn_body {
+            // Verified, so it is a whole record that only lost its `\n`.
+            restore(&body, number + 1, header, &mut restored)?;
+            records += 1;
+        }
+        if records == 0 {
             return Err(Error::journal(format!(
                 "resume refused: journal {} is empty (no header record)",
                 path.display()
             )));
         }
+        let discarded = if kept_tail { 0 } else { tail.len() as u64 };
+        if discarded > 0 {
+            fs::OpenOptions::new()
+                .write(true)
+                .open(path)
+                .and_then(|file| file.set_len(complete as u64))
+                .map_err(|e| {
+                    Error::journal(format!(
+                        "resume refused: cannot drop the torn tail of journal {}: {e}",
+                        path.display()
+                    ))
+                })?;
+        }
         Ok(CheckpointContext {
             writer: Arc::new(Mutex::new(JournalWriter {
                 path: path.to_path_buf(),
-                lines,
+                len: bytes.len() as u64 - discarded,
+                unterminated: kept_tail,
                 fault: None,
                 reported: false,
             })),
             restored: Arc::new(restored),
+            discarded,
         })
     }
 
@@ -390,23 +488,22 @@ impl CheckpointContext {
         self.restored.len()
     }
 
+    /// Bytes of a torn final append that [`Self::resume`] dropped.
+    pub fn discarded_bytes(&self) -> u64 {
+        self.discarded
+    }
+
     /// Persists one freshly completed cell. Never fails the sweep: an I/O
     /// error mutes the writer and is reported once via [`Self::take_fault`].
     pub fn append(&self, sweep: &str, cell: usize, payload: Json, snapshot: Option<&Snapshot>) {
         let started = std::time::Instant::now();
-        let mut body = Json::object();
-        body.set("sweep", Json::Str(sweep.to_string()));
-        body.set("cell", Json::UInt(cell as u64));
-        body.set("payload", payload);
-        body.set("snapshot", snapshot.map_or(Json::Null, encode_snapshot));
-        let line = seal(body);
-        let bytes = line.len();
+        let line = cell_record(sweep, cell, payload, snapshot);
         self.writer
             .lock()
             .unwrap_or_else(|p| p.into_inner())
-            .append(line);
+            .append(&line);
         // Journal writes are the sweep's only hot-path I/O; stream their
-        // timeline (encode + rewrite + rename, lock wait included) so a
+        // timeline (encode + in-place append, lock wait included) so a
         // slow disk is observable live instead of showing up only as
         // missing throughput.
         if span::stream_active() {
@@ -415,7 +512,7 @@ impl CheckpointContext {
                 &[
                     ("sweep", Json::from(sweep)),
                     ("cell", Json::UInt(cell as u64)),
-                    ("bytes", Json::UInt(bytes as u64)),
+                    ("bytes", Json::UInt(line.len() as u64)),
                     (
                         "append_wall_seconds",
                         Json::Float(started.elapsed().as_secs_f64()),
@@ -688,11 +785,27 @@ mod tests {
         ctx.append("fig6", 0, Json::Float(1.0), None);
         let pristine = fs::read_to_string(&path).expect("journal readable");
 
-        // Truncated record: chop the final line mid-way.
+        // A record cut short with its newline is a torn final append: it
+        // is dropped and the file truncated to the header.
+        let header_len = pristine.find('\n').expect("header line") + 1;
         fs::write(&path, &pristine[..pristine.len() - 10]).expect("write");
+        let resumed = CheckpointContext::resume(&path, &header()).expect("torn tail");
+        assert_eq!(resumed.restored_cells(), 0);
+        assert_eq!(
+            resumed.discarded_bytes() as usize,
+            pristine.len() - 10 - header_len
+        );
+        assert_eq!(
+            fs::read_to_string(&path).expect("readable"),
+            pristine[..header_len]
+        );
+
+        // The same cut record ending in a newline was not torn by an
+        // append: the strict rule applies and resume refuses.
+        fs::write(&path, format!("{}\n", &pristine[..pristine.len() - 10])).expect("write");
         let err = CheckpointContext::resume(&path, &header()).expect_err("truncated");
         assert!(
-            err.to_string().contains("resume refused"),
+            err.to_string().contains("resume refused") && err.to_string().contains("line 2"),
             "unexpected: {err}"
         );
 
@@ -709,6 +822,134 @@ mod tests {
         };
         let err = CheckpointContext::resume(&path, &other).expect_err("wrong seed");
         assert!(err.to_string().contains("fault seed"), "{err}");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn staging_names_keep_the_whole_file_name() {
+        let names: Vec<PathBuf> = ["run.a", "run.b", "run", "run.jsonl"]
+            .iter()
+            .map(|name| staging_path(&Path::new("dir").join(name)))
+            .collect();
+        assert_eq!(names[0], Path::new("dir/run.a.tmp"));
+        assert_eq!(names[3], Path::new("dir/run.jsonl.tmp"));
+        for (i, a) in names.iter().enumerate() {
+            for b in &names[i + 1..] {
+                assert_ne!(a, b, "two journals share a staging file");
+            }
+        }
+    }
+
+    /// The file's inode where the platform has one; a rename-based
+    /// writer would change it on every append.
+    fn inode(path: &Path) -> Option<u64> {
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::MetadataExt;
+            fs::metadata(path).ok().map(|meta| meta.ino())
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = path;
+            None
+        }
+    }
+
+    #[test]
+    fn appends_land_in_place_in_order() {
+        let path = tmp_path("in-place");
+        let ctx = CheckpointContext::create(&path, &header()).expect("create");
+        let mut expected = format!("{}\n", seal(header().to_json()));
+        assert_eq!(fs::read_to_string(&path).expect("readable"), expected);
+        let created = inode(&path);
+        for cell in [2, 0, 1] {
+            let payload = Json::UInt(cell as u64 * 10);
+            ctx.append("fig6", cell, payload.clone(), None);
+            expected.push_str(&cell_record("fig6", cell, payload, None));
+            expected.push('\n');
+            assert_eq!(fs::read_to_string(&path).expect("readable"), expected);
+            assert_eq!(inode(&path), created, "append replaced the file");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_resumed_journal_keeps_appending_after_its_loaded_records() {
+        let path = tmp_path("resume-append");
+        let ctx = CheckpointContext::create(&path, &header()).expect("create");
+        ctx.append("fig6", 0, Json::Float(1.5), None);
+        ctx.append("fig6", 1, Json::Float(2.5), None);
+        drop(ctx);
+
+        let resumed = CheckpointContext::resume(&path, &header()).expect("first resume");
+        assert_eq!(resumed.restored_cells(), 2);
+        resumed.append("fig6", 2, Json::Float(3.5), None);
+        assert!(resumed.take_fault().is_none());
+        drop(resumed);
+
+        let again = CheckpointContext::resume(&path, &header()).expect("second resume");
+        assert_eq!(again.restored_cells(), 3);
+        for (cell, value) in [(0, 1.5), (1, 2.5), (2, 3.5)] {
+            let restored = again.restored("fig6", cell).expect("cell restored");
+            assert_eq!(restored.payload, Json::Float(value));
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_torn_tail_that_fails_its_hash_is_dropped() {
+        let path = tmp_path("torn-bad");
+        let ctx = CheckpointContext::create(&path, &header()).expect("create");
+        ctx.append("fig6", 0, Json::Float(1.0), None);
+        drop(ctx);
+        let whole = fs::read_to_string(&path).expect("readable");
+        let torn = cell_record("fig6", 1, Json::Float(2.0), None);
+        let half = &torn[..torn.len() / 2];
+        fs::write(&path, format!("{whole}{half}")).expect("write");
+
+        let resumed = CheckpointContext::resume(&path, &header()).expect("torn tail resumes");
+        assert_eq!(resumed.restored_cells(), 1);
+        assert_eq!(resumed.discarded_bytes(), half.len() as u64);
+        assert_eq!(fs::read_to_string(&path).expect("readable"), whole);
+
+        // The re-run cell lands on its own line and resumes cleanly.
+        resumed.append("fig6", 1, Json::Float(2.0), None);
+        drop(resumed);
+        assert_eq!(
+            fs::read_to_string(&path).expect("readable"),
+            format!("{whole}{torn}\n")
+        );
+        let again = CheckpointContext::resume(&path, &header()).expect("second resume");
+        assert_eq!(again.restored_cells(), 2);
+        assert_eq!(again.discarded_bytes(), 0);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_torn_tail_that_verifies_is_kept() {
+        let path = tmp_path("torn-good");
+        let ctx = CheckpointContext::create(&path, &header()).expect("create");
+        ctx.append("fig6", 0, Json::Float(1.0), None);
+        drop(ctx);
+        let whole = fs::read_to_string(&path).expect("readable");
+        let unterminated = whole.strip_suffix('\n').expect("newline-terminated");
+        fs::write(&path, unterminated).expect("write");
+
+        let resumed = CheckpointContext::resume(&path, &header()).expect("verified tail");
+        assert_eq!(resumed.restored_cells(), 1);
+        assert_eq!(resumed.discarded_bytes(), 0);
+        assert_eq!(fs::read_to_string(&path).expect("readable"), unterminated);
+
+        // The next append supplies the missing newline first.
+        resumed.append("fig6", 1, Json::Float(2.0), None);
+        drop(resumed);
+        let next = cell_record("fig6", 1, Json::Float(2.0), None);
+        assert_eq!(
+            fs::read_to_string(&path).expect("readable"),
+            format!("{whole}{next}\n")
+        );
+        let again = CheckpointContext::resume(&path, &header()).expect("second resume");
+        assert_eq!(again.restored_cells(), 2);
         let _ = fs::remove_file(&path);
     }
 
