@@ -1,10 +1,12 @@
 //! Criterion microbench for the word-parallel bit-residency kernel.
 //!
-//! `bitstats_record` times `BitResidency::record` (bit-sliced carry-save
-//! SWAR) against `ScalarResidency::record` (the per-bit reference oracle)
-//! over identical pseudo-random event streams at widths 32, 64 and 128.
-//! The acceptance bar is a >=3x speedup at width 64; durations are drawn
-//! from 1..=64 cycles, the regime pipeline events live in.
+//! `bitstats_record` times `BitResidency::record` (16-bit SWAR lanes)
+//! against `ScalarResidency::record` (the per-bit reference oracle) over
+//! identical pseudo-random event streams at widths 32, 64 and 128, plus
+//! the widths the pipeline charges most: 1 (the scheduler's Valid/Ready
+//! singles), 49 and 92 (its two group words). The acceptance bar is
+//! a >=3x speedup at width 64; durations are drawn from 1..=64 cycles, the
+//! regime pipeline events live in.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use uarch::bitstats::{BitResidency, ScalarResidency};
@@ -30,7 +32,7 @@ fn bench_record(c: &mut Criterion) {
     let events = stream();
     let mut group = c.benchmark_group("bitstats_record");
     group.throughput(Throughput::Elements(EVENTS as u64));
-    for width in [32usize, 64, 128] {
+    for width in [32usize, 64, 128, 1, 49, 92] {
         let stream = events.clone();
         group.bench_function(&format!("swar/{width}"), move |b| {
             b.iter(|| {

@@ -701,12 +701,15 @@ fn scheme_cpi(
         dl0_scheme,
         dtlb_scheme,
         btb_scheme: SchemeKind::Baseline,
-        sample_period: u64::MAX / 2, // regfile/sched mechanisms irrelevant here
+        sample_period: u64::MAX / 2, // regfile/sched RINVs sample once
         seed,
         ..PenelopeConfig::default()
     };
     let (mut pipe, mut hooks) = build(&config)?;
-    // Only the cache schemes matter for Table 3: run with cache hooks only.
+    // Only the cache schemes set Table 3's CPI, but `build` composes every
+    // mechanism: the register-file ISV and the scheduler balancer run too
+    // (their RINVs keep the first value offered, given the huge period),
+    // and the report telemetry recorded here depends on their writes.
     let total = with_recording(&mut hooks, |mut h| {
         let mut total: Option<RunResult> = None;
         for spec in scale.workload().specs() {

@@ -252,10 +252,12 @@ impl SchedulerPolicy {
 
 /// Precomputed write plan for one field, derived from the policy once at
 /// construction. The release path runs once per retired uop, so the per-bit
-/// technique match is folded ahead of time: `ALL1`/`ALL0` bits collapse into
-/// a constant mask, and only the bits that need per-release work (stateful
-/// K-counters, ISV image reads) remain in `dynamic`, in ascending bit order
-/// so the `KCounter::tick` sequence is unchanged.
+/// technique match is folded into per-field words ahead of time: `ALL1`
+/// bits collapse into a constant, ISV bits into a mask over the RINV image,
+/// and the `ALL1-K%`/`ALL0-K%` bits into one table of K-bit values per
+/// counter phase. Every K-counter of a field ticks exactly once per
+/// rewrite of that field, so one phase per field reproduces each
+/// `KCounter::tick` sequence.
 #[derive(Debug, Clone)]
 struct FieldPlan {
     /// Mirrors [`SchedulerPolicy::protects`].
@@ -264,8 +266,10 @@ struct FieldPlan {
     gated: bool,
     /// The `ALL1` bits, pre-assembled.
     constant: u128,
-    /// `(bit, technique)` for K-counter and ISV bits only.
-    dynamic: Vec<(u8, Technique)>,
+    /// The ISV bits; they copy the RINV image.
+    isv_mask: u128,
+    /// The K bits' values at each counter phase; empty without K bits.
+    k_values: Vec<u128>,
 }
 
 impl FieldPlan {
@@ -274,8 +278,10 @@ impl FieldPlan {
             protected: false,
             gated: false,
             constant: 0,
-            dynamic: Vec::new(),
+            isv_mask: 0,
+            k_values: Vec::new(),
         };
+        let mut counters = Vec::new();
         for (bit, t) in bits.iter().enumerate() {
             match t {
                 Technique::None => continue,
@@ -283,24 +289,57 @@ impl FieldPlan {
                 Technique::All0 => {}
                 Technique::Isv => {
                     plan.gated = true;
-                    plan.dynamic.push((bit as u8, *t));
+                    plan.isv_mask |= 1 << bit;
                 }
-                Technique::All1K(_) | Technique::All0K(_) => plan.dynamic.push((bit as u8, *t)),
+                Technique::All1K(k) => counters.push((bit, true, KCounter::new(*k))),
+                Technique::All0K(k) => counters.push((bit, false, KCounter::new(*k))),
             }
             plan.protected = true;
         }
+        if !counters.is_empty() {
+            for _ in 0..K_PERIOD {
+                let mut value = 0;
+                for (bit, all1, counter) in &mut counters {
+                    if counter.tick() == *all1 {
+                        value |= 1 << *bit;
+                    }
+                }
+                plan.k_values.push(value);
+            }
+        }
         plan
+    }
+
+    /// The field's value at K phase `phase`, with ISV bits from `image`
+    /// (the phase is ignored without K bits).
+    fn value(&self, phase: u8, image: u128) -> u128 {
+        let k = self.k_values.get(usize::from(phase)).copied().unwrap_or(0);
+        self.constant | (image & self.isv_mask) | k
     }
 }
 
+/// Ticks after which every [`KCounter`] repeats its sequence.
+const K_PERIOD: u8 = 32;
+
 /// The balancing mechanism: slot-release rewrites driven by a policy.
+///
+/// The fields without ISV bits are rewritten on every release that finds a
+/// port, so their K-counters all share one phase, and their part of the
+/// rewrite is one precomputed image per phase. Only the gated (ISV) fields
+/// are assembled per release.
 #[derive(Debug, Clone)]
 pub struct SchedulerBalancer {
     policy: SchedulerPolicy,
     /// Per-field write plans precomputed from the policy.
     plans: [FieldPlan; 18],
-    /// K-counters, one per (field, bit) that needs one.
-    counters: [Vec<KCounter>; 18],
+    /// The rewrite of every protected, ungated field at each K phase.
+    ungated: Vec<EntryValues>,
+    /// K phase of the ungated fields: an index into `ungated`.
+    phase: u8,
+    /// Bit `i` set for each gated field `Field::ALL[i]`.
+    gated: u32,
+    /// K phase of each gated field (it advances only when its gate opens).
+    gated_phases: [u8; 18],
     /// RINV images for the ISV fields.
     rinv_src1: Rinv,
     rinv_src2: Rinv,
@@ -321,20 +360,28 @@ impl SchedulerBalancer {
     /// Creates the mechanism with the given policy; ISV fields sample every
     /// `sample_period` cycles.
     pub fn new(policy: SchedulerPolicy, sample_period: u64) -> Self {
-        let counters: [Vec<KCounter>; 18] = std::array::from_fn(|i| {
-            policy.bits[i]
-                .iter()
-                .map(|t| match t {
-                    Technique::All1K(k) | Technique::All0K(k) => KCounter::new(*k),
-                    _ => KCounter::new(1.0),
-                })
-                .collect()
-        });
         let plans: [FieldPlan; 18] = std::array::from_fn(|i| FieldPlan::build(&policy.bits[i]));
+        let ungated = (0..K_PERIOD)
+            .map(|phase| {
+                let mut image = EntryValues::default();
+                for (field, plan) in Field::ALL.into_iter().zip(&plans) {
+                    if plan.protected && !plan.gated {
+                        image.set(field, plan.value(phase, 0));
+                    }
+                }
+                image
+            })
+            .collect();
+        let gated = (0..18)
+            .filter(|&i| plans[i].gated)
+            .fold(0, |m, i| m | 1 << i);
         SchedulerBalancer {
             policy,
             plans,
-            counters,
+            ungated,
+            phase: 0,
+            gated,
+            gated_phases: [0; 18],
             rinv_src1: Rinv::new(32, sample_period),
             rinv_src2: Rinv::new(32, sample_period),
             rinv_imm: Rinv::new(16, sample_period),
@@ -380,74 +427,55 @@ impl SchedulerBalancer {
 
     /// Handles a slot release: rewrites the slot's protectable fields with
     /// balancing contents through a spare allocation port (one port per
-    /// slot rewrite; updates that find no port are dropped).
+    /// slot rewrite; updates that find no port are dropped). The rewrite is
+    /// assembled into one image and captured in a single write.
     pub fn on_released(&mut self, sched: &mut Scheduler, slot: SlotId, now: u64) {
         self.attempts += 1;
         if sched.is_busy(slot) || !sched.consume_port(now) {
             return;
         }
         self.successes += 1;
-        for field in Field::ALL {
+        let image = self.rewrite(slot, now);
+        sched.capture(slot, &image, now);
+    }
+
+    /// The balancing image of one released slot: the ungated fields at the
+    /// current K phase, plus each gated field whose gate is open, in
+    /// [`Field::ALL`] order. Advances the K phases and the sampled gates.
+    fn rewrite(&mut self, slot: SlotId, now: u64) -> EntryValues {
+        let mut image = self.ungated[usize::from(self.phase)];
+        self.phase = (self.phase + 1) % K_PERIOD;
+        let mut gated = self.gated;
+        while gated != 0 {
+            let i = gated.trailing_zeros() as usize;
+            gated &= gated - 1;
+            let field = Field::ALL[i];
             // ISV-protected fields honor their timestamp gate: writing
             // inverted samples into every released slot forever would swing
             // the bias past 50% the other way.
-            let gated = self.plans[field.index()].gated;
-            if gated {
-                let gate = if field == Field::Immediate {
-                    &self.gate_imm
-                } else {
-                    &self.gate_data
-                };
-                if !gate.should_invert(now) {
-                    continue;
-                }
-            }
-            if let Some(value) = self.field_value(field) {
-                sched.write_field(slot, field, value, now);
-                if gated && slot == SAMPLED_SLOT {
-                    let gate = if field == Field::Immediate {
-                        &mut self.gate_imm
-                    } else {
-                        &mut self.gate_data
-                    };
-                    gate.flip(true, now);
-                }
-            }
-        }
-    }
-
-    fn field_value(&mut self, field: Field) -> Option<u128> {
-        let idx = field.index();
-        let plan = &self.plans[idx];
-        if !plan.protected {
-            return None;
-        }
-        let mut value = plan.constant;
-        for di in 0..self.plans[idx].dynamic.len() {
-            let (bit, t) = self.plans[idx].dynamic[di];
-            let bit = bit as usize;
-            let one = match t {
-                Technique::All1K(_) => self.counters[idx][bit].tick(),
-                Technique::All0K(_) => !self.counters[idx][bit].tick(),
-                Technique::Isv => {
-                    let rinv = match field {
-                        Field::Src1Data => &self.rinv_src1,
-                        Field::Src2Data => &self.rinv_src2,
-                        Field::Immediate => &self.rinv_imm,
-                        // ISV on a non-data field samples the same image as
-                        // src1 (profiled policies may assign it).
-                        _ => &self.rinv_src1,
-                    };
-                    (rinv.value() >> bit) & 1 == 1
-                }
-                // ALL1 bits live in `constant`; ALL0/None bits are absent.
-                Technique::All1 | Technique::All0 | Technique::None => unreachable!(),
+            let gate = if field == Field::Immediate {
+                &mut self.gate_imm
+            } else {
+                &mut self.gate_data
             };
-            if one {
-                value |= 1 << bit;
+            if !gate.should_invert(now) {
+                continue;
             }
+            if slot == SAMPLED_SLOT {
+                gate.flip(true, now);
+            }
+            let rinv = match field {
+                Field::Src2Data => &self.rinv_src2,
+                Field::Immediate => &self.rinv_imm,
+                // ISV on a non-data field samples the same image as src1
+                // (profiled policies may assign it).
+                _ => &self.rinv_src1,
+            };
+            let phase = &mut self.gated_phases[i];
+            image.set(field, self.plans[i].value(*phase, rinv.value()));
+            *phase = (*phase + 1) % K_PERIOD;
         }
-        Some(value)
+        image
     }
 
     /// XORs a mask into all three ISV RINV images (fault injection).
@@ -629,6 +657,123 @@ mod tests {
         assert_eq!(policy.technique(Field::Src1Data, 0), Technique::Isv);
         // Self-balanced fields are untouched.
         assert_eq!(policy.technique(Field::MobId, 0), Technique::None);
+    }
+
+    /// Builds the balancing rewrite of 70 releases (more than two K
+    /// periods) of the slots `slot_of(release)` and checks every rewritten
+    /// field against a reference built bit by bit from per-bit
+    /// `KCounter`s, which tick only when their field is rewritten, and the
+    /// RINV images. Returns how many gated-field rewrites a closed gate
+    /// skipped.
+    fn check_plans_against_per_bit_reference(
+        policy: SchedulerPolicy,
+        slot_of: impl Fn(u64) -> SlotId,
+    ) -> usize {
+        let mut balancer = SchedulerBalancer::new(policy.clone(), 1);
+        let mut counters: Vec<Vec<KCounter>> = Field::ALL
+            .iter()
+            .map(|&f| {
+                (0..f.width())
+                    .map(|bit| match policy.technique(f, bit) {
+                        Technique::All1K(k) | Technique::All0K(k) => KCounter::new(k),
+                        _ => KCounter::new(1.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut uop = tracegen::uop::Uop::int_alu(1, 2, 3);
+        let mut skipped = 0;
+        for release in 0..70u64 {
+            // Fresh RINV samples every release (period 1), so ISV bits
+            // move; allocating and releasing the sampled slot 0 moves the
+            // ISV gates.
+            let slot = slot_of(release);
+            uop.src1_val = (release as u32).wrapping_mul(0x9E37_79B9);
+            uop.src2_val = !uop.src1_val.rotate_left(7);
+            uop.immediate = Some((release as u16).wrapping_mul(0x6F4B));
+            let values = EntryValues::from_uop(&uop, 0, 0, 0, 0, true, true);
+            balancer.on_allocated(slot, &values, 10 * release);
+            let image = balancer.rewrite(slot, 10 * release + 1 + release % 7);
+            for field in Field::ALL {
+                let gated =
+                    (0..field.width()).any(|b| policy.technique(field, b) == Technique::Isv);
+                if gated && !image.is_driven(field) {
+                    skipped += 1;
+                    continue;
+                }
+                assert_eq!(image.is_driven(field), policy.protects(field), "{field}");
+                if !policy.protects(field) {
+                    continue;
+                }
+                let rinv = match field {
+                    Field::Src2Data => balancer.rinv_src2.value(),
+                    Field::Immediate => balancer.rinv_imm.value(),
+                    _ => balancer.rinv_src1.value(),
+                };
+                let mut want = 0u128;
+                for (bit, counter) in counters[field.index()].iter_mut().enumerate() {
+                    let one = match policy.technique(field, bit) {
+                        Technique::All1 => true,
+                        Technique::All0 | Technique::None => false,
+                        Technique::All1K(_) => counter.tick(),
+                        Technique::All0K(_) => !counter.tick(),
+                        Technique::Isv => (rinv >> bit) & 1 == 1,
+                    };
+                    want |= u128::from(one) << bit;
+                }
+                assert_eq!(image.get(field), want, "{field}, release {release}");
+            }
+        }
+        skipped
+    }
+
+    #[test]
+    fn precomputed_plans_follow_closed_gates_for_mixed_isv_and_k_fields() {
+        // Flags mixes ISV, ALL1-K%, ALL0-K% and ALL1 bits, so its K phase
+        // must advance only on the releases its gate lets through.
+        let mut policy = SchedulerPolicy::paper_default();
+        policy.bits[Field::Flags.index()] = vec![
+            Technique::Isv,
+            Technique::All1K(0.75),
+            Technique::All0K(0.4),
+            Technique::All1,
+            Technique::All1K(0.1),
+            Technique::None,
+        ];
+        // Releasing the sampled slot 0 on three releases in four closes
+        // the gates on some of them. Four gated fields over 70 releases.
+        let slot_of = |r: u64| if r % 4 == 3 { 1 } else { 0 };
+        let skipped = check_plans_against_per_bit_reference(policy, slot_of);
+        assert!(skipped > 0, "no gate ever closed");
+        assert!(skipped < 4 * 70, "no gate ever opened");
+    }
+
+    #[test]
+    fn precomputed_plans_match_per_bit_techniques_for_the_paper_policy() {
+        check_plans_against_per_bit_reference(SchedulerPolicy::paper_default(), |_| 1);
+    }
+
+    #[test]
+    fn precomputed_plans_match_per_bit_techniques_for_a_profiled_policy() {
+        let mut pipe = Pipeline::new(PipelineConfig::default());
+        pipe.run(
+            TraceSpec::new(Suite::Multimedia, 1).generate(5_000),
+            &mut NoHooks,
+        );
+        let now = pipe.now();
+        let policy = SchedulerPolicy::from_scheduler(&mut pipe.parts.sched, now)
+            .expect("profiled biases are in range");
+        let techniques: Vec<Technique> = Field::ALL
+            .iter()
+            .flat_map(|&f| (0..f.width()).map(move |bit| (f, bit)))
+            .map(|(f, bit)| policy.technique(f, bit))
+            .collect();
+        // The profiled run must exercise both per-release kinds of bit.
+        assert!(techniques
+            .iter()
+            .any(|t| matches!(t, Technique::All1K(_) | Technique::All0K(_))));
+        assert!(techniques.contains(&Technique::Isv));
+        check_plans_against_per_bit_reference(policy, |_| 1);
     }
 
     #[test]

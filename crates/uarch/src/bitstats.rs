@@ -12,15 +12,17 @@
 //!
 //! Charging an event used to walk every bit position — up to 128 scalar
 //! iterations per write — which made `record` the hottest loop in the
-//! simulator. [`BitResidency`] now accumulates events in *bit-sliced
-//! carry-save planes*: `planes[j]` is a `u128` whose bit `i` contributes
-//! `2^j` cycles to bit position `i`'s zero-count. Adding `(mask, duration)`
-//! ripple-carries the zero-mask once per set bit of `duration`, so the cost
-//! is O(popcount(duration) + carry chain) *word* operations regardless of
-//! width. Planes drain into the exact `zero_time` lanes via an
-//! integer-only [`flush_planes`](BitResidency::flush_planes) before any
-//! lane can overflow, so `bias()`/`merge()`/reports see the same integers
-//! the scalar loop produced — byte-identical, not approximately equal.
+//! simulator. [`BitResidency`] now accumulates events in *16-bit SWAR
+//! lanes*: `lanes[j]` is a `u64` holding four u16 counters, one per bit
+//! of nibble `j` of the word (lane `k` counts bit `4j + k`). Adding
+//! `(zeros, duration)` spreads `duration` into all four lanes with one
+//! multiply and, for each nibble of the zero-mask, masks it with a
+//! 16-entry table and adds it — a fixed handful of word operations per
+//! four bit positions, with no carries and no data-dependent loop. Lanes
+//! drain into the exact `zero_time` counts with integer adds before any
+//! lane can pass `0xFFFF`, and readers add the pending lanes on the fly,
+//! so `bias()`/`merge()`/reports see the same integers the scalar loop
+//! produced — byte-identical, not approximately equal.
 //!
 //! [`ScalarResidency`] keeps the original per-bit loop alive as a reference
 //! oracle; the differential property suite (`tests/bitstats_prop.rs`) and
@@ -29,13 +31,39 @@
 
 use nbti_model::duty::Duty;
 
-/// Number of carry-save planes; per-bit pending counts fit in `PLANES` bits.
-const PLANES: usize = 32;
+/// Largest count a u16 lane holds: the lanes accept events until their
+/// accumulated duration would pass it, then flush.
+const LANE_CAPACITY: u64 = 0xFFFF;
 
-/// Maximum duration the planes may accumulate before a flush is forced.
-/// With `PLANES = 32` every per-bit pending count stays below `2^32`, so a
-/// ripple carry can never run off the last plane.
-const PLANE_CAPACITY: u64 = (1 << PLANES) - 1;
+/// Bit positions per lane word (four u16 lanes in a `u64`).
+const LANES_PER_WORD: usize = 4;
+
+/// Lane words covering a 128-bit word.
+const LANE_WORDS: usize = 128 / LANES_PER_WORD;
+
+/// Duration broadcast factor: `d * SPREAD` puts `d` into all four lanes.
+const SPREAD: u64 = 0x0001_0001_0001_0001;
+
+/// `NIBBLE_LANES[n]` has lane `k` all-ones exactly when bit `k` of `n` is
+/// set, so `NIBBLE_LANES[n] & (d * SPREAD)` is `d` in the lanes of `n`'s
+/// set bits and 0 elsewhere.
+const NIBBLE_LANES: [u64; 16] = nibble_lanes();
+
+const fn nibble_lanes() -> [u64; 16] {
+    let mut table = [0u64; 16];
+    let mut n = 0;
+    while n < 16 {
+        let mut k = 0;
+        while k < LANES_PER_WORD {
+            if (n >> k) & 1 == 1 {
+                table[n] |= LANE_CAPACITY << (16 * k);
+            }
+            k += 1;
+        }
+        n += 1;
+    }
+    table
+}
 
 /// Aggregated per-bit zero-time for words of a fixed width.
 ///
@@ -46,11 +74,11 @@ const PLANE_CAPACITY: u64 = (1 << PLANES) - 1;
 pub struct BitResidency {
     /// Exact zero-cycles per bit position, LSB first (flushed state).
     zero_time: Vec<u64>,
-    /// Bit-sliced carry-save accumulator: bit `i` of `planes[j]` adds
-    /// `2^j` pending zero-cycles to position `i`.
-    planes: [u128; PLANES],
-    /// Total duration absorbed into `planes` since the last flush;
-    /// bounded by [`PLANE_CAPACITY`].
+    /// Pending zero-cycles in u16 lanes: lane `k` of `lanes[j]` adds to
+    /// position `4j + k`.
+    lanes: [u64; LANE_WORDS],
+    /// Total duration absorbed into `lanes` since the last flush; bounded
+    /// by [`LANE_CAPACITY`], so no lane can overflow.
     pending: u64,
     /// Mask selecting the low `width` bits.
     mask: u128,
@@ -76,7 +104,7 @@ impl BitResidency {
         assert!((1..=128).contains(&width), "width must be in 1..=128");
         BitResidency {
             zero_time: vec![0; width],
-            planes: [0; PLANES],
+            lanes: [0; LANE_WORDS],
             pending: 0,
             mask: width_mask(width),
             total_time: 0,
@@ -89,72 +117,9 @@ impl BitResidency {
     }
 
     /// Records that `value` was held for `duration` cycles.
-    ///
-    /// Word-parallel: the zero-mask is ripple-carried into the bit-sliced
-    /// planes once per set bit of `duration` instead of once per bit
-    /// position.
     pub fn record(&mut self, value: u128, duration: u64) {
-        if duration == 0 {
-            return;
-        }
         self.total_time += duration;
-        let zeros = !value & self.mask;
-        if zeros == 0 {
-            // All-ones value: no zero-time accrues anywhere. Balancing
-            // schemes hold most protected fields at all-ones, so this is
-            // the common case on the release path.
-            return;
-        }
-        // Cost model: the lane path costs one addition per *set* bit of the
-        // zero-mask (iterated sparsely below); the carry-save path costs
-        // ~2 word ops per set bit of `duration` (ripple chains average
-        // under two planes). Sparse zero-masks and dense durations go
-        // straight to the lanes — which is also the only valid path for a
-        // single event too large for the planes (~4 billion cycles). Lane
-        // adds and plane adds produce the same integers, so the choice is
-        // invisible to every reader.
-        let lane_is_cheaper = zeros.count_ones() < 2 * duration.count_ones();
-        if lane_is_cheaper || duration > PLANE_CAPACITY {
-            let mut z = zeros;
-            while z != 0 {
-                let i = z.trailing_zeros() as usize;
-                z &= z - 1;
-                self.zero_time[i] += duration;
-            }
-            return;
-        }
-        if duration > PLANE_CAPACITY - self.pending {
-            self.flush_planes();
-        }
-        self.pending += duration;
-        let mut weight = duration;
-        while weight != 0 {
-            let bit = weight.trailing_zeros() as usize;
-            weight &= weight - 1;
-            // Carry-save add of `zeros` with weight 2^bit: XOR is the sum,
-            // AND the carry into the next plane. `pending <= PLANE_CAPACITY`
-            // guarantees the carry dies before running off the last plane.
-            let mut carry = zeros;
-            let mut plane = bit;
-            while carry != 0 {
-                debug_assert!(plane < PLANES, "carry escaped the planes");
-                let overflow = self.planes[plane] & carry;
-                self.planes[plane] ^= carry;
-                carry = overflow;
-                plane += 1;
-            }
-        }
-    }
-
-    /// Records a closed-form span: `value` held for the `duration` cycles
-    /// of an idle/stall region the simulator skipped over in one step.
-    ///
-    /// This is the bulk-advance entry point of the event-driven core; it is
-    /// exactly [`BitResidency::record`] (the kernel has always been
-    /// span-based — one event of `n` cycles costs O(popcount(n)), not
-    /// O(n)), named explicitly so span-application sites read as such.
-    pub fn record_span(&mut self, value: u128, duration: u64) {
-        self.record(value, duration);
+        self.add_zeros(!value & self.mask, duration);
     }
 
     /// Charges `duration` zero-cycles to every bit set in `zeros`, without
@@ -162,7 +127,7 @@ impl BitResidency {
     ///
     /// This is the carrier half of the *grouped charge* protocol: several
     /// fields whose values changed at the same instant concatenate their
-    /// zero-masks into one word and pay a single plane-add here instead of
+    /// zero-masks into one word and pay a single lane add here instead of
     /// one `record` each. The owner later moves the accumulated counts into
     /// the real per-field accumulators with
     /// [`drain_zero_counts`](Self::drain_zero_counts) /
@@ -171,37 +136,50 @@ impl BitResidency {
     /// [`credit_total_time`](Self::credit_total_time) — the resulting
     /// integers are identical to per-field `record` calls.
     pub(crate) fn record_zeros(&mut self, zeros: u128, duration: u64) {
+        debug_assert_eq!(zeros & !self.mask, 0, "zeros outside the word");
+        self.add_zeros(zeros, duration);
+    }
+
+    /// The kernel shared by [`record`](Self::record) and
+    /// [`record_zeros`](Self::record_zeros).
+    fn add_zeros(&mut self, zeros: u128, duration: u64) {
         if duration == 0 || zeros == 0 {
+            // All-ones values charge nothing. Balancing schemes hold most
+            // protected fields at all-ones, so this is the common case on
+            // the release path.
             return;
         }
-        debug_assert_eq!(zeros & !self.mask, 0, "zeros outside the word");
-        let lane_is_cheaper = zeros.count_ones() < 2 * duration.count_ones();
-        if lane_is_cheaper || duration > PLANE_CAPACITY {
+        if duration > LANE_CAPACITY {
+            // A single event too long for the lanes (a span of more than
+            // 65,535 cycles) goes straight to the exact counts.
             let mut z = zeros;
             while z != 0 {
-                let i = z.trailing_zeros() as usize;
+                self.zero_time[z.trailing_zeros() as usize] += duration;
                 z &= z - 1;
-                self.zero_time[i] += duration;
             }
             return;
         }
-        if duration > PLANE_CAPACITY - self.pending {
-            self.flush_planes();
+        if self.pending + duration > LANE_CAPACITY {
+            self.flush_lanes();
         }
         self.pending += duration;
-        let mut weight = duration;
-        while weight != 0 {
-            let bit = weight.trailing_zeros() as usize;
-            weight &= weight - 1;
-            let mut carry = zeros;
-            let mut plane = bit;
-            while carry != 0 {
-                debug_assert!(plane < PLANES, "carry escaped the planes");
-                let overflow = self.planes[plane] & carry;
-                self.planes[plane] ^= carry;
-                carry = overflow;
-                plane += 1;
-            }
+        let spread = duration * SPREAD;
+        // One table-masked add per nibble of the word, over two u64 halves
+        // so no step shifts a u128. The count depends only on the width,
+        // so the loop branches the same way on every event.
+        let nibbles = self.width().div_ceil(LANES_PER_WORD);
+        let (low, high) = self.lanes.split_at_mut(LANE_WORDS / 2);
+        add_nibbles(
+            &mut low[..nibbles.min(LANE_WORDS / 2)],
+            zeros as u64,
+            spread,
+        );
+        if nibbles > LANE_WORDS / 2 {
+            add_nibbles(
+                &mut high[..nibbles - LANE_WORDS / 2],
+                (zeros >> 64) as u64,
+                spread,
+            );
         }
     }
 
@@ -210,7 +188,7 @@ impl BitResidency {
     /// empty. Part of the grouped-charge protocol (see
     /// [`record_zeros`](Self::record_zeros)).
     pub(crate) fn drain_zero_counts(&mut self, mut f: impl FnMut(usize, u64)) {
-        self.flush_planes();
+        self.flush_lanes();
         for (i, zt) in self.zero_time.iter_mut().enumerate() {
             if *zt != 0 {
                 f(i, *zt);
@@ -238,39 +216,29 @@ impl BitResidency {
         std::mem::take(&mut self.total_time)
     }
 
-    /// Drains the carry-save planes into the exact `zero_time` lanes.
+    /// Drains the lanes into the exact `zero_time` counts.
     ///
-    /// Integer-only, so the lane values are identical to what the scalar
-    /// per-bit loop would have produced. O(width × planes), but amortized
-    /// away: it runs once per ~2^32 accumulated cycles (or on merge).
-    fn flush_planes(&mut self) {
+    /// Integer-only, so the counts are identical to what the scalar per-bit
+    /// loop would have produced. O(width), run once per 65,535 accumulated
+    /// cycles (or on merge and drain).
+    fn flush_lanes(&mut self) {
         if self.pending == 0 {
             return;
         }
         for (i, zt) in self.zero_time.iter_mut().enumerate() {
-            let mut count = 0u64;
-            for (j, plane) in self.planes.iter().enumerate() {
-                count |= (((plane >> i) as u64) & 1) << j;
-            }
-            *zt += count;
+            *zt += lane_count(&self.lanes, i);
         }
-        self.planes = [0; PLANES];
+        self.lanes = [0; LANE_WORDS];
         self.pending = 0;
     }
 
-    /// Exact zero-cycles of one bit position, including pending plane state.
+    /// Exact zero-cycles of one bit position, including pending lane state.
     ///
     /// # Panics
     ///
     /// Panics if `bit` is out of range.
     pub fn zero_cycles(&self, bit: usize) -> u64 {
-        let mut count = self.zero_time[bit];
-        if self.pending != 0 {
-            for (j, plane) in self.planes.iter().enumerate() {
-                count += (((plane >> bit) as u64) & 1) << j;
-            }
-        }
-        count
+        self.zero_time[bit] + lane_count(&self.lanes, bit)
     }
 
     /// Total observed time (per bit position).
@@ -311,7 +279,7 @@ impl BitResidency {
     /// Panics if widths differ.
     pub fn merge(&mut self, other: &BitResidency) {
         assert_eq!(self.width(), other.width(), "width mismatch");
-        self.flush_planes();
+        self.flush_lanes();
         for (i, zt) in self.zero_time.iter_mut().enumerate() {
             *zt += other.zero_cycles(i);
         }
@@ -321,7 +289,7 @@ impl BitResidency {
 
 /// Equality is over *effective* counts — two accumulators that charged the
 /// same cycles compare equal regardless of how much is still pending in
-/// their carry-save planes.
+/// their lanes.
 impl PartialEq for BitResidency {
     fn eq(&self, other: &Self) -> bool {
         self.width() == other.width()
@@ -331,6 +299,20 @@ impl PartialEq for BitResidency {
 }
 
 impl Eq for BitResidency {}
+
+/// Adds `spread` (a duration in all four lanes) to the lanes of the zero
+/// bits of `zeros`, one lane word per nibble.
+fn add_nibbles(lanes: &mut [u64], mut zeros: u64, spread: u64) {
+    for lane in lanes {
+        *lane += NIBBLE_LANES[(zeros & 0xF) as usize] & spread;
+        zeros >>= 4;
+    }
+}
+
+/// Pending count of bit position `bit` in a lane array.
+fn lane_count(lanes: &[u64; LANE_WORDS], bit: usize) -> u64 {
+    (lanes[bit / LANES_PER_WORD] >> (16 * (bit % LANES_PER_WORD))) & LANE_CAPACITY
+}
 
 /// The original per-bit scalar accounting loop, kept as a reference oracle.
 ///
@@ -709,7 +691,7 @@ mod tests {
     #[test]
     fn equality_ignores_plane_representation() {
         // Same effective counts via one large event vs many small ones:
-        // the pending plane state differs, the accumulators must not.
+        // the pending lane state differs, the accumulators must not.
         let mut one = BitResidency::new(8);
         one.record(0xA5, 1000);
         let mut many = BitResidency::new(8);
@@ -721,28 +703,42 @@ mod tests {
 
     #[test]
     fn plane_capacity_boundary_flushes_exactly() {
-        // Crossing the 2^32−1 accumulation boundary forces a flush;
-        // counts must remain exact on both sides.
+        // Crossing the 0xFFFF lane capacity forces a flush; counts must
+        // remain exact on both sides. Bit 0 is charged by both events, so
+        // without the flush its lane would carry into bit 1's.
         let mut r = BitResidency::new(2);
-        r.record(0b10, PLANE_CAPACITY - 1);
-        r.record(0b01, 3); // forces flush_planes, then re-accumulates
-        assert_eq!(r.zero_cycles(0), PLANE_CAPACITY - 1);
+        r.record(0b10, LANE_CAPACITY - 1);
+        r.record(0b00, 3); // forces flush_lanes, then re-accumulates
+        assert_eq!(r.zero_cycles(0), LANE_CAPACITY + 2);
         assert_eq!(r.zero_cycles(1), 3);
-        assert_eq!(r.total_time(), PLANE_CAPACITY + 2);
+        assert_eq!(r.total_time(), LANE_CAPACITY + 2);
     }
 
     #[test]
     fn oversized_single_event_takes_the_lane_path() {
+        // A single event longer than the lane capacity is charged straight
+        // into the exact per-bit counts.
         let mut r = BitResidency::new(2);
-        let huge = PLANE_CAPACITY + 17;
+        let huge = LANE_CAPACITY + 17;
         r.record(0b01, huge);
         assert_eq!(r.zero_cycles(0), 0);
         assert_eq!(r.zero_cycles(1), huge);
         assert_eq!(r.total_time(), huge);
-        // And the planes still work afterwards.
+        // And the lanes still work afterwards.
         r.record(0b10, 5);
         assert_eq!(r.zero_cycles(0), 5);
         assert_eq!(r.zero_cycles(1), huge);
+    }
+
+    #[test]
+    fn nibble_table_selects_one_lane_per_set_bit() {
+        for (n, &lanes) in NIBBLE_LANES.iter().enumerate() {
+            for k in 0..LANES_PER_WORD {
+                let lane = (lanes >> (16 * k)) & LANE_CAPACITY;
+                let want = if (n >> k) & 1 == 1 { LANE_CAPACITY } else { 0 };
+                assert_eq!(lane, want, "nibble {n:#x} lane {k}");
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@ use crate::bitstats::BitResidency;
 /// Circular MOB id allocator.
 ///
 /// Id residency rides the word-parallel [`BitResidency`] kernel: each
-/// allocation charges one `(id, 1)` event, a single carry-save add rather
-/// than a per-bit loop.
+/// allocation charges one `(id, 1)` event, two lane adds (one per nibble
+/// of the 6-bit id) rather than a per-bit loop.
 #[derive(Debug, Clone)]
 pub struct MobAllocator {
     capacity: u8,

@@ -902,8 +902,8 @@ impl Pipeline {
         // Slots are claimed round-robin so freed slots are not immediately
         // reused (their contents keep aging realistically).
         let n = self.in_flight.len();
-        let free_slot = (0..n)
-            .map(|i| (self.slot_rr + i) % n)
+        let free_slot = (self.slot_rr..n)
+            .chain(0..self.slot_rr)
             .find(|&s| self.in_flight[s].is_none() && !self.parts.sched.is_busy(s));
         let Some(slot) = free_slot else { return false };
         let fp = uop.class.is_fp();

@@ -8,8 +8,10 @@
 //!
 //! The scheduler is modeled as a storage structure: allocation captures the
 //! field values of a uop, release frees the slot but *keeps the contents*
-//! (bit cells do not forget), and `write_field` allows both ready-bit
-//! updates while busy and NBTI-balancing writes into free slots.
+//! (bit cells do not forget), and [`Scheduler::capture`] writes any image
+//! of driven fields into a slot — the ready-bit updates of a busy slot
+//! (through [`Scheduler::write_field`]) and the NBTI-balancing rewrites of
+//! free slots alike.
 
 use crate::bitstats::{BitResidency, OccupancyTracker, TrackedWord};
 use tracegen::uop::{Uop, UopClass};
@@ -171,36 +173,27 @@ impl DataUsage {
     }
 }
 
-/// Values captured into a slot at allocation.
+/// Values captured into a slot at allocation, held in the slot's own
+/// storage layout (see `SINGLE_FIELDS` and the group constants below).
 ///
 /// Fields that a uop does not use (the MOB id of a non-memory uop, the
 /// destination tag of a store, ...) are *not driven*: allocation leaves the
 /// old cell contents in place, exactly as hardware whose write enables stay
 /// low. This is what makes the tag/MOB-id fields self-balanced (§4.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The default image drives nothing; [`EntryValues::set`] builds partial
+/// images such as the balancing rewrite of a released slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EntryValues {
-    values: [u128; 18],
-    driven: [bool; 18],
-    /// Concatenated driven values and write-enable masks per group, derived
-    /// from `values`/`driven` (see the layout constants below). Allocation
-    /// merges these into the slot's group words in one step.
+    /// Driven bits of the two group words (undriven bits are 0).
     group_val: [u128; 2],
+    /// Write-enable mask of each group word.
     group_driven: [u128; 2],
-}
-
-fn concat_groups(values: &[u128; 18], driven: &[bool; 18]) -> ([u128; 2], [u128; 2]) {
-    let mut gv = [0u128; 2];
-    let mut gd = [0u128; 2];
-    for i in 0..18 {
-        let g = GROUP_OF[i];
-        if g == NO_GROUP || !driven[i] {
-            continue;
-        }
-        let g = g as usize;
-        gd[g] |= FIELD_MASKS[i] << FIELD_OFFSETS[i];
-        gv[g] |= (values[i] & FIELD_MASKS[i]) << FIELD_OFFSETS[i];
-    }
-    (gv, gd)
+    /// Driven values of the single-bit fields: bit `k` is
+    /// `SINGLE_FIELDS[k]` (undriven bits are 0).
+    singles: u8,
+    /// Write enables of the single-bit fields.
+    singles_driven: u8,
 }
 
 impl EntryValues {
@@ -214,64 +207,84 @@ impl EntryValues {
         ready1: bool,
         ready2: bool,
     ) -> Self {
-        let mut driven = [true; 18];
-        driven[Field::MobId.index()] = uop.class.is_memory();
-        driven[Field::DstTag.index()] = uop.dst.is_some();
-        driven[Field::Src1Tag.index()] = uop.src1.is_some();
-        driven[Field::Src2Tag.index()] = uop.src2.is_some();
-        driven[Field::Src1Data.index()] = uop.src1.is_some();
-        driven[Field::Src2Data.index()] = uop.src2.is_some();
-        driven[Field::Immediate.index()] = uop.immediate.is_some();
-        driven[Field::Taken.index()] = uop.class == UopClass::Branch;
-        driven[Field::Tos.index()] = uop.class.is_fp();
-        let mut values = [0u128; 18];
-        values[Field::Valid.index()] = 1;
-        values[Field::Latency.index()] = u128::from(uop.latency & 0x1F);
-        values[Field::Port.index()] = 1u128 << (uop.port % 5);
-        values[Field::Taken.index()] = u128::from(uop.taken);
-        values[Field::MobId.index()] = u128::from(mob_id & 0x3F);
-        values[Field::Tos.index()] = u128::from(uop.tos & 0x7);
-        values[Field::Flags.index()] = u128::from(uop.flags & 0x3F);
-        values[Field::Shift1.index()] = u128::from(uop.shift1);
-        values[Field::Shift2.index()] = u128::from(uop.shift2);
-        values[Field::DstTag.index()] = u128::from(dst_tag & 0x7F);
-        values[Field::Src1Tag.index()] = u128::from(src1_tag & 0x7F);
-        values[Field::Src2Tag.index()] = u128::from(src2_tag & 0x7F);
-        values[Field::Ready1.index()] = u128::from(ready1);
-        values[Field::Ready2.index()] = u128::from(ready2);
-        values[Field::Src1Data.index()] = u128::from(uop.src1_val);
-        values[Field::Src2Data.index()] = u128::from(uop.src2_val);
-        values[Field::Immediate.index()] = u128::from(uop.immediate.unwrap_or(0));
-        values[Field::Opcode.index()] = u128::from(uop.opcode & 0xFFF);
-        let (group_val, group_driven) = concat_groups(&values, &driven);
-        EntryValues {
-            values,
-            driven,
-            group_val,
-            group_driven,
-        }
+        let mut e = EntryValues {
+            group_val: [0; 2],
+            group_driven: [0; 2],
+            // Valid always drives to 1.
+            singles: 1 | (u8::from(ready1) << 1) | (u8::from(ready2) << 2),
+            singles_driven: 0b111,
+        };
+        let (src1, src2, imm) = (uop.src1.is_some(), uop.src2.is_some(), uop.immediate);
+        let branch = uop.class == UopClass::Branch;
+        e.drive(Field::Latency, u128::from(uop.latency), true);
+        e.drive(Field::Port, 1u128 << (uop.port % 5), true);
+        e.drive(Field::Taken, u128::from(uop.taken), branch);
+        e.drive(Field::MobId, u128::from(mob_id), uop.class.is_memory());
+        e.drive(Field::Tos, u128::from(uop.tos), uop.class.is_fp());
+        e.drive(Field::Flags, u128::from(uop.flags), true);
+        e.drive(Field::Shift1, u128::from(uop.shift1), true);
+        e.drive(Field::Shift2, u128::from(uop.shift2), true);
+        e.drive(Field::DstTag, u128::from(dst_tag), uop.dst.is_some());
+        e.drive(Field::Src1Tag, u128::from(src1_tag), src1);
+        e.drive(Field::Src2Tag, u128::from(src2_tag), src2);
+        e.drive(Field::Src1Data, u128::from(uop.src1_val), src1);
+        e.drive(Field::Src2Data, u128::from(uop.src2_val), src2);
+        e.drive(
+            Field::Immediate,
+            u128::from(imm.unwrap_or(0)),
+            imm.is_some(),
+        );
+        e.drive(Field::Opcode, u128::from(uop.opcode), true);
+        e
     }
 
-    /// The value of one field.
+    /// ORs a grouped field into an image that does not drive it yet,
+    /// without branching on `enabled`.
+    #[inline]
+    fn drive(&mut self, field: Field, value: u128, enabled: bool) {
+        let i = field.index();
+        let g = GROUP_OF[i] as usize;
+        let mask = (FIELD_MASKS[i] << FIELD_OFFSETS[i]) & u128::from(enabled).wrapping_neg();
+        self.group_driven[g] |= mask;
+        self.group_val[g] |= (value << FIELD_OFFSETS[i]) & mask;
+    }
+
+    /// The value of one field, or 0 for a field the entry does not drive.
     pub fn get(&self, field: Field) -> u128 {
-        self.values[field.index()]
+        let i = field.index();
+        match single_slot(i) {
+            Some(k) => u128::from((self.singles >> k) & 1),
+            None => (self.group_val[GROUP_OF[i] as usize] >> FIELD_OFFSETS[i]) & FIELD_MASKS[i],
+        }
     }
 
     /// Whether allocation drives (writes) the field.
     pub fn is_driven(&self, field: Field) -> bool {
-        self.driven[field.index()]
+        let i = field.index();
+        match single_slot(i) {
+            Some(k) => (self.singles_driven >> k) & 1 == 1,
+            None => {
+                self.group_driven[GROUP_OF[i] as usize] & (FIELD_MASKS[i] << FIELD_OFFSETS[i]) != 0
+            }
+        }
     }
 
-    /// Overwrites one field (marks it driven).
+    /// Overwrites one field (marks it driven); `value` is masked to the
+    /// field's width.
     pub fn set(&mut self, field: Field, value: u128) {
         let i = field.index();
-        self.values[i] = value & FIELD_MASKS[i];
-        self.driven[i] = true;
-        if GROUP_OF[i] != NO_GROUP {
-            let g = GROUP_OF[i] as usize;
-            let mask = FIELD_MASKS[i] << FIELD_OFFSETS[i];
-            self.group_driven[g] |= mask;
-            self.group_val[g] = (self.group_val[g] & !mask) | (self.values[i] << FIELD_OFFSETS[i]);
+        let masked = value & FIELD_MASKS[i];
+        match single_slot(i) {
+            Some(k) => {
+                self.singles = (self.singles & !(1 << k)) | ((masked as u8) << k);
+                self.singles_driven |= 1 << k;
+            }
+            None => {
+                let g = GROUP_OF[i] as usize;
+                let mask = FIELD_MASKS[i] << FIELD_OFFSETS[i];
+                self.group_driven[g] |= mask;
+                self.group_val[g] = (self.group_val[g] & !mask) | (masked << FIELD_OFFSETS[i]);
+            }
         }
     }
 }
@@ -399,7 +412,7 @@ pub struct Scheduler {
     residency: [BitResidency; 18],
     /// Staging accumulators for the grouped charges: when a group word
     /// changes (allocation, balancing write) or is flushed (sync), the whole
-    /// word pays one carry-save zero-mask add covering every member field's
+    /// word pays one zero-mask lane add covering every member field's
     /// elapsed span. Drained back into the per-field `residency` at
     /// [`Scheduler::sync`]; the integers are identical to per-field charging
     /// (zero-time is additive over disjoint bit ranges and adjacent spans).
@@ -508,39 +521,7 @@ impl Scheduler {
         slot.busy = true;
         slot.issued = false;
         slot.data_held = usage.count();
-        // Valid always drives to 1; Ready1/Ready2 come from the entry.
-        // Rewriting the value a cell already holds does not change its
-        // residency: the open span keeps accruing from the original write
-        // time and settles at the next real change or flush (residency is
-        // additive over adjacent spans).
-        if slot.singles[0].value() != 1 {
-            slot.singles[0].write(1, now, &mut self.residency[SINGLE_FIELDS[0]]);
-        }
-        for (single, field) in slot.singles.iter_mut().zip(SINGLE_FIELDS).skip(1) {
-            let want = values.values[field];
-            if single.value() != want {
-                single.write(want, now, &mut self.residency[field]);
-            }
-        }
-        // Grouped fields: merge the driven bits into each group word in one
-        // step. If the word changes, the *whole group* settles its elapsed
-        // span with a single carry-save zero-mask add — exact for unchanged
-        // members too, since closing their span and reopening it at `now`
-        // with the same value charges the same integers as leaving it open.
-        for (g, mask) in GROUP_MASKS.iter().enumerate() {
-            let old = slot.group_val[g];
-            let merged = (old & !values.group_driven[g]) | values.group_val[g];
-            if merged != old {
-                let since = slot.group_since[g];
-                if since != now {
-                    let d = now - since;
-                    self.group_charge[g].record_zeros(!old & mask, d);
-                    self.group_charge[g].credit_total_time(d);
-                }
-                slot.group_val[g] = merged;
-                slot.group_since[g] = now;
-            }
-        }
+        self.capture(id, values, now);
         self.occupancy.acquire(now);
         self.data_occupancy.acquire_n(usage.count(), now);
     }
@@ -598,32 +579,46 @@ impl Scheduler {
     /// writes while free). Does not consume a port — pair with
     /// [`Scheduler::consume_port`] for opportunistic writes.
     pub fn write_field(&mut self, slot: SlotId, field: Field, value: u128, now: u64) {
-        let i = field.index();
-        let masked = value & FIELD_MASKS[i];
-        let s = &mut self.slots[slot];
-        // Same-value writes defer the residency charge (see allocate_at):
-        // balancing writes mostly re-assert the pattern already stored, so
-        // the hot path reduces to a comparison.
-        if let Some(k) = single_slot(i) {
-            if s.singles[k].value() != masked {
-                s.singles[k].write(masked, now, &mut self.residency[i]);
+        let mut image = EntryValues::default();
+        image.set(field, value);
+        self.capture(slot, &image, now);
+    }
+
+    /// Writes every field `values` drives into a slot at `now`: the one
+    /// write path behind allocation, balancing rewrites and single-field
+    /// writes. Does not consume a port or change the slot's busy state.
+    ///
+    /// Each driven single that changes is written on its own. Each group
+    /// word merges its driven bits in one step, and if the word changes the
+    /// *whole group* settles its elapsed span with a single `record_zeros`
+    /// charge — exact for unchanged members too, since closing their span
+    /// and reopening it at `now` with the same value charges the same
+    /// integers as leaving it open. Rewriting the value a cell already
+    /// holds charges nothing: the open span keeps accruing from the
+    /// original write time and settles at the next real change or flush
+    /// (residency is additive over adjacent spans).
+    pub fn capture(&mut self, id: SlotId, values: &EntryValues, now: u64) {
+        let slot = &mut self.slots[id];
+        for (k, (single, field)) in slot.singles.iter_mut().zip(SINGLE_FIELDS).enumerate() {
+            let want = u128::from((values.singles >> k) & 1);
+            if (values.singles_driven >> k) & 1 == 1 && single.value() != want {
+                single.write(want, now, &mut self.residency[field]);
             }
-            return;
         }
-        let g = GROUP_OF[i] as usize;
-        let old = s.group_val[g];
-        let merged = (old & !(FIELD_MASKS[i] << FIELD_OFFSETS[i])) | (masked << FIELD_OFFSETS[i]);
-        if merged == old {
-            return;
+        for (g, mask) in GROUP_MASKS.iter().enumerate() {
+            let old = slot.group_val[g];
+            let merged = (old & !values.group_driven[g]) | values.group_val[g];
+            if merged != old {
+                let since = slot.group_since[g];
+                if since != now {
+                    let d = now - since;
+                    self.group_charge[g].record_zeros(!old & mask, d);
+                    self.group_charge[g].credit_total_time(d);
+                }
+                slot.group_val[g] = merged;
+                slot.group_since[g] = now;
+            }
         }
-        let since = s.group_since[g];
-        if since != now {
-            let d = now - since;
-            self.group_charge[g].record_zeros(!old & GROUP_MASKS[g], d);
-            self.group_charge[g].credit_total_time(d);
-        }
-        s.group_val[g] = merged;
-        s.group_since[g] = now;
     }
 
     /// Consumes one port in cycle `now` (for opportunistic balancing
@@ -854,6 +849,91 @@ mod tests {
         assert_eq!(e.get(Field::Ready1), 1);
         assert_eq!(e.get(Field::Ready2), 0);
         assert_eq!(e.get(Field::Flags), 0b10);
+    }
+
+    #[test]
+    fn get_returns_zero_for_an_undriven_field() {
+        // A non-branch, non-FP, non-memory uop with the taken bit, TOS and
+        // a MOB id set in its inputs: none of those fields is driven.
+        let mut uop = Uop::int_alu(1, 2, 3);
+        uop.taken = true;
+        uop.tos = 5;
+        let e = EntryValues::from_uop(&uop, 10, 20, 30, 7, true, true);
+        for field in [Field::Taken, Field::Tos, Field::MobId, Field::Immediate] {
+            assert!(!e.is_driven(field), "{field} driven");
+            assert_eq!(e.get(field), 0, "{field}");
+        }
+        let mut empty = EntryValues::default();
+        for field in Field::ALL {
+            assert!(!empty.is_driven(field) && empty.get(field) == 0, "{field}");
+        }
+        // `set` drives the field and masks the value to its width.
+        empty.set(Field::Tos, 0xFF);
+        empty.set(Field::Ready2, 3);
+        assert!(empty.is_driven(Field::Tos) && empty.get(Field::Tos) == 0x7);
+        assert!(empty.is_driven(Field::Ready2) && empty.get(Field::Ready2) == 1);
+    }
+
+    #[test]
+    fn capture_matches_the_equivalent_write_field_sequence() {
+        // Singles and members of both groups, written at one `now`.
+        let writes = [
+            (Field::Valid, 1),
+            (Field::Ready1, 0),
+            (Field::Ready2, 1),
+            (Field::Latency, 0x1C),
+            (Field::Flags, 0b101),
+            (Field::Tos, 0b11),
+            (Field::Src1Data, 0xDEAD_BEEF),
+            (Field::Immediate, 0x1234),
+            (Field::Opcode, 0xABC),
+        ];
+        let all = DataUsage {
+            src1: true,
+            src2: true,
+            imm: true,
+        };
+        let mut a = Scheduler::new(2, 4);
+        let mut b = Scheduler::new(2, 4);
+        for s in [&mut a, &mut b] {
+            let slot = s.allocate(&entry(), all, 3).unwrap();
+            s.release(slot, 9);
+        }
+        let mut image = EntryValues::default();
+        for &(field, value) in &writes {
+            image.set(field, value);
+        }
+        a.capture(0, &image, 17);
+        for &(field, value) in &writes {
+            b.write_field(0, field, value, 17);
+        }
+        // An image that re-drives every stored value changes nothing and
+        // must make no charge.
+        let mut same = EntryValues::default();
+        for field in Field::ALL {
+            same.set(field, a.field_value(0, field));
+        }
+        let (charge, residency) = (a.group_charge.clone(), a.residency.clone());
+        let (since, singles) = (a.slots[0].group_since, a.slots[0].singles);
+        a.capture(0, &same, 25);
+        assert_eq!(a.group_charge, charge);
+        assert_eq!(a.residency, residency);
+        assert_eq!(a.slots[0].group_since, since);
+        assert_eq!(a.slots[0].singles, singles);
+        a.sync(40);
+        b.sync(40);
+        for field in Field::ALL {
+            assert_eq!(a.field_value(0, field), b.field_value(0, field), "{field}");
+            let (ra, rb) = (a.field_residency(field), b.field_residency(field));
+            assert_eq!(ra.total_time(), rb.total_time(), "{field}");
+            for bit in 0..field.width() {
+                assert_eq!(
+                    ra.zero_cycles(bit),
+                    rb.zero_cycles(bit),
+                    "{field} bit {bit}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Differential property suite for the word-parallel residency kernel.
 //!
-//! `BitResidency` (bit-sliced carry-save SWAR) and `ScalarResidency` (the
-//! original per-bit loop, kept as a reference oracle) are driven with
-//! identical event streams — random `(value, duration)` records,
-//! interleaved merges and `TrackedWord` write/flush traffic, durations
-//! straddling the plane-flush boundary — and must agree on every exact
+//! `BitResidency` (16-bit SWAR lanes) and `ScalarResidency` (the original
+//! per-bit loop, kept as a reference oracle) are driven with identical
+//! event streams — random `(value, duration)` records, interleaved merges
+//! and `TrackedWord` write/flush traffic, durations straddling the
+//! 0xFFFF lane capacity and the 2^32 edge — and must agree on every exact
 //! integer count, at every width the simulator uses and at the word-size
-//! edges (1, 63, 64, 65, 127, 128).
+//! edges (1, 63, 64, 65, 127, 128), plus the nibble and scheduler-group
+//! widths (4, 49, 92).
 
 use proptest::prelude::*;
 use uarch::bitstats::{BitResidency, ScalarResidency, TrackedWord};
@@ -15,16 +16,25 @@ use uarch::bitstats::{BitResidency, ScalarResidency, TrackedWord};
 /// edges).
 const WIDTHS: [usize; 6] = [1, 63, 64, 65, 127, 128];
 
-/// Maximum duration the carry-save planes hold before flushing (2^32 − 1,
-/// mirrored from the kernel).
+/// Widths for the lane-capacity cases: 1 and 4 (one lane word, partly and
+/// fully used), 49 and 92 (the scheduler's two group words, which end
+/// mid-nibble and cross the u64 half) and 128.
+const LANE_WIDTHS: [usize; 5] = [1, 4, 49, 92, 128];
+
+/// The 2^32 − 1 edge of 32-bit duration counts; events at and past it take
+/// the kernel's per-bit path.
 const PLANE_CAPACITY: u64 = (1 << 32) - 1;
+
+/// Largest duration the u16 lanes accumulate before flushing (mirrored
+/// from the kernel).
+const LANE_CAPACITY: u64 = 0xFFFF;
 
 fn any_u128() -> impl Strategy<Value = u128> {
     (any::<u64>(), any::<u64>()).prop_map(|(hi, lo)| (u128::from(hi) << 64) | u128::from(lo))
 }
 
 /// Durations biased across the interesting magnitudes: zero, small dense
-/// values, sparse large values, and plane-capacity overflow.
+/// values, sparse large values, and the 2^32 edge.
 fn any_duration() -> impl Strategy<Value = u64> {
     prop_oneof![
         Just(0u64),
@@ -32,6 +42,18 @@ fn any_duration() -> impl Strategy<Value = u64> {
         1u64..100_000,
         (0u64..=3).prop_map(|d| PLANE_CAPACITY - 1 + d),
         (any::<u32>(), 0u64..=1).prop_map(|(lo, hi)| u64::from(lo) | (hi << 33)),
+    ]
+}
+
+/// Durations around the lane capacity: small ones whose running sum
+/// crosses 0xFFFF mid-stream, ones straddling 0xFFFF, and single events
+/// longer than it.
+fn lane_duration() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1u64..64,
+        1u64..20_000,
+        (0u64..=4).prop_map(|d| LANE_CAPACITY - 2 + d),
+        LANE_CAPACITY + 1..4 * LANE_CAPACITY,
     ]
 }
 
@@ -94,7 +116,7 @@ proptest! {
                 swar.record(value, duration);
                 scalar.record(value, duration);
             }
-            // Merge while both sides still hold pending plane state.
+            // Merge while both sides still hold pending lane state.
             swar_total.merge(&swar);
             scalar_total.merge(&scalar);
         }
@@ -140,7 +162,7 @@ proptest! {
     ) {
         // The same stream charged in different event granularity (one
         // record per event vs duration split into two records) leaves
-        // different carry-save plane states but must compare equal.
+        // different pending lane states but must compare equal.
         let width = WIDTHS[width_index];
         let mut whole = BitResidency::new(width);
         let mut split = BitResidency::new(width);
@@ -152,6 +174,114 @@ proptest! {
         }
         prop_assert_eq!(&whole, &split);
         prop_assert_eq!(&split, &whole);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn lane_capacity_streams_agree_exactly(
+        width_index in 0usize..LANE_WIDTHS.len(),
+        events in prop::collection::vec((any_u128(), lane_duration()), 0..120),
+    ) {
+        let width = LANE_WIDTHS[width_index];
+        let mut swar = BitResidency::new(width);
+        let mut scalar = ScalarResidency::new(width);
+        for &(value, duration) in &events {
+            swar.record(value, duration);
+            scalar.record(value, duration);
+            // Reads mid-stream see pending lanes plus flushed counts.
+            prop_assert_eq!(swar.zero_cycles(width - 1), scalar.zero_cycles(width - 1));
+        }
+        check_exact_agreement(&swar, &scalar, width)?;
+    }
+
+    #[test]
+    fn merges_with_pending_lanes_agree_exactly(
+        width_index in 0usize..LANE_WIDTHS.len(),
+        chunks in prop::collection::vec(
+            (
+                prop::collection::vec((any_u128(), lane_duration()), 0..16),
+                (any_u128(), 1u64..LANE_CAPACITY),
+            ),
+            0..10,
+        ),
+    ) {
+        // Both sides of every merge may hold pending lanes: the chunk's
+        // accumulator, and the aggregate, which records one event of its
+        // own before each merge.
+        let width = LANE_WIDTHS[width_index];
+        let mut swar_total = BitResidency::new(width);
+        let mut scalar_total = ScalarResidency::new(width);
+        for (chunk, (value, duration)) in &chunks {
+            swar_total.record(*value, *duration);
+            scalar_total.record(*value, *duration);
+            let mut swar = BitResidency::new(width);
+            let mut scalar = ScalarResidency::new(width);
+            for &(value, duration) in chunk {
+                swar.record(value, duration);
+                scalar.record(value, duration);
+            }
+            swar_total.merge(&swar);
+            scalar_total.merge(&scalar);
+            check_exact_agreement(&swar, &scalar, width)?;
+        }
+        check_exact_agreement(&swar_total, &scalar_total, width)?;
+    }
+}
+
+#[test]
+fn lane_capacity_boundary_is_exact_at_every_lane_width() {
+    // Deterministic sweep of the lane flush edge at each lane width: fill
+    // to just below capacity, then cross it with an exact fit, a one-cycle
+    // overshoot, a full-capacity event and oversized events, then run a
+    // stream of small events whose pending sum crosses 0xFFFF many times.
+    let values = [
+        0x5555_5555_5555_5555_5555_5555_5555_5555u128,
+        !0x5555_5555_5555_5555_5555_5555_5555_5555u128,
+        0,
+        0x0123_4567_89AB_CDEF_0F1E_2D3C_4B5A_6978,
+    ];
+    for width in LANE_WIDTHS {
+        for &extra in &[
+            1u64,
+            2,
+            LANE_CAPACITY - 1,
+            LANE_CAPACITY,
+            LANE_CAPACITY + 1,
+            LANE_CAPACITY + 5,
+        ] {
+            let mut swar = BitResidency::new(width);
+            let mut scalar = ScalarResidency::new(width);
+            let mut events = vec![
+                (values[0], LANE_CAPACITY - 1),
+                (values[1], extra),
+                (values[2], 1),
+                (values[3], LANE_CAPACITY),
+                (values[0], LANE_CAPACITY + 1),
+            ];
+            events.extend(
+                (0..3_000u64)
+                    .map(|i| (values[(i % 4) as usize].rotate_left(i as u32), 37 + i % 50)),
+            );
+            for (value, duration) in events {
+                swar.record(value, duration);
+                scalar.record(value, duration);
+            }
+            assert_eq!(
+                swar.total_time(),
+                scalar.total_time(),
+                "width {width}, extra={extra}"
+            );
+            for bit in 0..width {
+                assert_eq!(
+                    swar.zero_cycles(bit),
+                    scalar.zero_cycles(bit),
+                    "width {width}, bit {bit}, extra={extra}"
+                );
+            }
+        }
     }
 }
 
