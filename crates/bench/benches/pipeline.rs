@@ -89,33 +89,16 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// The event-driven core against its cycle-accurate differential oracle,
-/// plus the chunked (structure-of-arrays) trace path — the three run
-/// entry points must stay result-identical, so this group is the one
-/// place their relative throughput is tracked.
-fn bench_core_variants(c: &mut Criterion) {
+/// The bare pipeline core: one `Pipeline::run` with no hooks.
+fn bench_core(c: &mut Criterion) {
     let spec = TraceSpec::new(Suite::Multimedia, 0);
 
     let mut group = c.benchmark_group("pipeline/core_10k_uops");
     group.throughput(Throughput::Elements(UOPS as u64));
-
-    group.bench_function("cycle_accurate", |b| {
-        b.iter(|| {
-            let mut pipe = Pipeline::new(PipelineConfig::default());
-            black_box(pipe.run_cycle_accurate(spec.generate(UOPS), &mut NoHooks))
-        })
-    });
-    group.bench_function("event_driven", |b| {
+    group.bench_function("run", |b| {
         b.iter(|| {
             let mut pipe = Pipeline::new(PipelineConfig::default());
             black_box(pipe.run(spec.generate(UOPS), &mut NoHooks))
-        })
-    });
-    group.bench_function("event_driven_chunked", |b| {
-        b.iter(|| {
-            let mut pipe = Pipeline::new(PipelineConfig::default());
-            let chunks = spec.generate_chunks(UOPS, tracegen::soa::DEFAULT_CHUNK);
-            black_box(pipe.run_chunked(chunks, &mut NoHooks))
         })
     });
     group.finish();
@@ -131,5 +114,5 @@ fn bench_tracegen(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_pipeline, bench_core_variants, bench_tracegen);
+criterion_group!(benches, bench_pipeline, bench_core, bench_tracegen);
 criterion_main!(benches);

@@ -118,8 +118,7 @@ pub fn run_workload<H: Hooks + EventSource>(
     let total = with_recording(hooks, |mut h| {
         let mut total: Option<RunResult> = None;
         for spec in scale.workload().specs() {
-            let chunks = spec.generate_chunks(scale.uops_per_trace, tracegen::soa::DEFAULT_CHUNK);
-            let r = pipe.run_chunked(chunks, &mut h);
+            let r = pipe.run(spec.generate(scale.uops_per_trace), &mut h);
             match &mut total {
                 Some(t) => t.merge(&r),
                 None => total = Some(r),

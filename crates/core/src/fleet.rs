@@ -525,8 +525,7 @@ fn profile_suite(suite: Suite, scale: Scale) -> Result<SuiteAnchors, Error> {
     let total = with_recording(&mut NoHooks, |mut h| {
         let mut total: Option<uarch::pipeline::RunResult> = None;
         for spec in workload.specs() {
-            let chunks = spec.generate_chunks(scale.uops_per_trace, tracegen::soa::DEFAULT_CHUNK);
-            let r = pipe.run_chunked(chunks, &mut h);
+            let r = pipe.run(spec.generate(scale.uops_per_trace), &mut h);
             match &mut total {
                 Some(t) => t.merge(&r),
                 None => total = Some(r),

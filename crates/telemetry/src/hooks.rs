@@ -449,21 +449,6 @@ impl<H: Hooks + EventSource> Hooks for TelemetryHooks<H> {
             self.next_sample = now + self.sample_period;
         }
     }
-
-    fn on_idle_span(&mut self, parts: &mut Parts, start: u64, end: u64) {
-        // Native span handling: forward the whole span to the wrapped
-        // mechanisms, then take only the samples whose due times fall
-        // inside it. Pipeline events do not fire during an idle span, so
-        // the state a sample observes is identical to the per-cycle
-        // replay — but we skip the per-cycle `next_sample` checks.
-        self.inner.on_idle_span(parts, start, end);
-        let mut due = self.next_sample.max(start);
-        while due <= end {
-            self.sample(parts, due);
-            self.next_sample = due + self.sample_period;
-            due = self.next_sample;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -539,38 +524,6 @@ mod tests {
             "{samples} samples for {} cycles at period 1000",
             result.cycles
         );
-    }
-
-    #[test]
-    fn span_sampling_matches_per_cycle_replay() {
-        // The native `on_idle_span` must land samples at exactly the
-        // cycles the per-cycle replay would have: identical counts,
-        // timestamps, and values across the whole series set.
-        let run = |event_driven: bool| {
-            let mut pipe = Pipeline::new(PipelineConfig::default());
-            let mut hooks = TelemetryHooks::new(NoHooks, 64, 4096);
-            let trace = TraceSpec::new(Suite::SpecFp2000, 3).generate(5_000);
-            let result = if event_driven {
-                pipe.run(trace, &mut hooks)
-            } else {
-                pipe.run_cycle_accurate(trace, &mut hooks)
-            };
-            (result, hooks.into_parts().1)
-        };
-        let (r_event, out_event) = run(true);
-        let (r_cycle, out_cycle) = run(false);
-        assert_eq!(r_event.cycles, r_cycle.cycles);
-
-        let series = |o: &TelemetryOutput| {
-            let mut v: Vec<(String, Vec<(u64, f64)>)> = o
-                .series
-                .iter()
-                .map(|(n, s)| (n.to_string(), s.iter().collect()))
-                .collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-        assert_eq!(series(&out_event), series(&out_cycle));
     }
 
     #[test]

@@ -35,7 +35,6 @@
 pub mod error;
 pub mod fault;
 pub mod memgen;
-pub mod soa;
 pub mod suite;
 pub mod trace;
 pub mod uop;

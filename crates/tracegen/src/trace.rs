@@ -73,14 +73,6 @@ impl TraceSpec {
         h
     }
 
-    /// Returns a reproducible *chunked* stream over the first `len` uops:
-    /// generation runs `chunk` uops at a time into structure-of-arrays
-    /// batches (see [`crate::soa`]). Yields exactly the uops of
-    /// [`TraceSpec::generate`], batched.
-    pub fn generate_chunks(&self, len: usize, chunk: usize) -> crate::soa::ChunkedTrace {
-        crate::soa::ChunkedUops::new(self.generate(len), chunk)
-    }
-
     /// Returns a reproducible iterator over the first `len` uops of the
     /// trace.
     pub fn generate(&self, len: usize) -> TraceIter {

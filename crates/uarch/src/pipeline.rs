@@ -29,7 +29,6 @@ use crate::mob::MobAllocator;
 use crate::regfile::{PhysReg, RegFileConfig, RegisterFile};
 use crate::scheduler::{DataUsage, EntryValues, Field, Scheduler, SlotId};
 use crate::tlb::Dtlb;
-use tracegen::soa::ChunkedUops;
 use tracegen::uop::{Uop, UopClass};
 
 /// Which register file an event concerns.
@@ -199,35 +198,16 @@ pub trait Hooks {
     /// The BTB completed a lookup (hit or train).
     fn btb_accessed(&mut self, _btb: &mut Btb, _outcome: &AccessOutcome, _now: u64) {}
 
-    /// End of cycle; periodic maintenance goes here.
+    /// End of cycle `now`; periodic maintenance goes here. Called exactly
+    /// once per simulated cycle, in increasing `now`.
     fn cycle_end(&mut self, _parts: &mut Parts, _now: u64) {}
-
-    /// A span of idle cycles `start..=end` (inclusive) that the event-driven
-    /// core skipped over in one step: the pipeline proves no retire, issue,
-    /// allocation, or register release can happen in the span, so the only
-    /// thing that would have run is `cycle_end` once per cycle.
-    ///
-    /// The default implementation replays exactly that, so every existing
-    /// hook observes the same call sequence as under the cycle-accurate
-    /// loop. Span-aware hooks may override this with a closed-form update,
-    /// but overrides must stay observably equivalent to the replay —
-    /// including any RNG draw sequence — or run-to-run byte-identity breaks.
-    fn on_idle_span(&mut self, parts: &mut Parts, start: u64, end: u64) {
-        for t in start..=end {
-            self.cycle_end(parts, t);
-        }
-    }
 }
 
 /// A no-op hook set: the unmodified baseline processor.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoHooks;
 
-impl Hooks for NoHooks {
-    fn on_idle_span(&mut self, _parts: &mut Parts, _start: u64, _end: u64) {
-        // `cycle_end` is a no-op, so the replay loop would be too.
-    }
-}
+impl Hooks for NoHooks {}
 
 /// Forwarding impl so hook chains can be composed by mutable borrow: a
 /// wrapper (telemetry, fault injection) can hold `&mut H` instead of
@@ -287,10 +267,6 @@ impl<H: Hooks + ?Sized> Hooks for &mut H {
     fn cycle_end(&mut self, parts: &mut Parts, now: u64) {
         (**self).cycle_end(parts, now);
     }
-
-    fn on_idle_span(&mut self, parts: &mut Parts, start: u64, end: u64) {
-        (**self).on_idle_span(parts, start, end);
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -306,7 +282,6 @@ struct InFlight {
     ready2: bool,
     port: u8,
     issued: bool,
-    finish_at: u64,
     mem_addr: Option<u64>,
     mob: Option<u8>,
     seq: u64,
@@ -396,9 +371,9 @@ pub struct Pipeline {
     /// release event.
     pending_release: VecDeque<(u64, RegClass, PhysReg)>,
     /// Issued in-flight uops keyed by completion time: the retire stage
-    /// pops the due set instead of rescanning the window, and the front is
-    /// the next retire event for skip-ahead. Entries are unique (a uop
-    /// issues once) and `finish_at` never changes after issue.
+    /// pops the due set instead of rescanning the window. Each key is
+    /// pushed once, when its uop issues, and never changes, so the heap
+    /// holds exactly one entry per issued, unretired uop.
     retire_q: BinaryHeap<Reverse<(u64, SlotId)>>,
     /// Scratch for the due set, sorted to slot order (the order the window
     /// scan would retire in). Reused to stay allocation-free.
@@ -556,46 +531,13 @@ impl Pipeline {
     /// returns this run's statistics. May be called repeatedly; structures
     /// and the clock carry over, mimicking back-to-back trace execution.
     ///
-    /// This is the event-driven core: cycles in which nothing can happen —
-    /// front-end bubbles with the window waiting on long misses, structural
-    /// stalls, drain tails — are skipped in one step, with hooks notified
-    /// through [`Hooks::on_idle_span`]. Observable behavior (results, hook
-    /// call sequence, residency accounting) is identical to
-    /// [`Pipeline::run_cycle_accurate`].
+    /// One loop ticks every simulated cycle: retire, issue, allocate, then
+    /// [`Hooks::cycle_end`], which is called exactly once per cycle in
+    /// increasing `now` (across back-to-back runs too). The per-cycle stage
+    /// work is event-driven — a completion heap, per-port ready queues,
+    /// wakeup lists and a sorted release queue — so an idle cycle costs a
+    /// few peeks, not a window scan.
     pub fn run<I, H>(&mut self, trace: I, hooks: &mut H) -> RunResult
-    where
-        I: IntoIterator<Item = Uop>,
-        H: Hooks,
-    {
-        self.run_inner(trace, hooks, true)
-    }
-
-    /// Runs a chunked (structure-of-arrays) uop stream to completion: the
-    /// generator side runs a block of uops at a time into parallel arrays
-    /// (see [`tracegen::soa`]), and allocation decodes them sequentially.
-    /// Yields exactly the results of [`Pipeline::run`] over the same uops —
-    /// batching changes generation timing, never content or order.
-    pub fn run_chunked<I, H>(&mut self, chunks: ChunkedUops<I>, hooks: &mut H) -> RunResult
-    where
-        I: Iterator<Item = Uop>,
-        H: Hooks,
-    {
-        self.run_inner(chunks.into_uops(), hooks, true)
-    }
-
-    /// The cycle-by-cycle reference loop: identical to [`Pipeline::run`]
-    /// but ticking every simulated cycle. Kept as the differential oracle
-    /// for the event-driven core (and as the baseline leg of the
-    /// `pipeline_run` Criterion bench).
-    pub fn run_cycle_accurate<I, H>(&mut self, trace: I, hooks: &mut H) -> RunResult
-    where
-        I: IntoIterator<Item = Uop>,
-        H: Hooks,
-    {
-        self.run_inner(trace, hooks, false)
-    }
-
-    fn run_inner<I, H>(&mut self, trace: I, hooks: &mut H, skip_ahead: bool) -> RunResult
     where
         I: IntoIterator<Item = Uop>,
         H: Hooks,
@@ -606,28 +548,18 @@ impl Pipeline {
         let start_adder = self.adder_ops;
         let mut trace = trace.into_iter().fuse();
         let mut pending: Option<Uop> = None;
-        let mut trace_done = false;
         loop {
             self.now += 1;
             let now = self.now;
             self.retire(now, hooks);
             self.issue(now, hooks);
             // Allocate (unless the front-end is refilling after a
-            // mispredict bubble). `blocked` records a structural stall: the
-            // head uop found no slot/register/MOB id, which cannot resolve
-            // before the next retire or release event.
+            // mispredict bubble). A uop that finds no slot/register/MOB id
+            // stays pending and is retried next cycle.
             let mut allocated = 0;
-            let mut blocked = false;
             while now >= self.stall_until && allocated < self.config.alloc_width {
-                let uop = match pending.take() {
-                    Some(u) => u,
-                    None => match trace.next() {
-                        Some(u) => u,
-                        None => {
-                            trace_done = true;
-                            break;
-                        }
-                    },
+                let Some(uop) = pending.take().or_else(|| trace.next()) else {
+                    break;
                 };
                 match self.try_allocate(&uop, now, hooks) {
                     true => {
@@ -650,7 +582,6 @@ impl Pipeline {
                     }
                     false => {
                         pending = Some(uop);
-                        blocked = true;
                         break;
                     }
                 }
@@ -663,29 +594,6 @@ impl Pipeline {
                     Some(u) => pending = Some(u),
                     None => break,
                 }
-            }
-            if !skip_ahead {
-                continue;
-            }
-            // Skip ahead: the next interesting cycle is the earliest of the
-            // next retire, the next delayed register release, the next issue
-            // (something is ready now), and the next allocation attempt
-            // (immediately, unless the front end is bubbled or structurally
-            // blocked). Anything strictly between is an idle span in which
-            // no event fires and no state changes except hook maintenance.
-            let mut next = self.retire_q.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
-            if let Some(&(t, _, _)) = self.pending_release.front() {
-                next = next.min(t);
-            }
-            if self.ready_q.iter().any(|q| !q.is_empty()) {
-                next = next.min(now + 1);
-            }
-            if !blocked && (pending.is_some() || !trace_done) {
-                next = next.min((now + 1).max(self.stall_until));
-            }
-            if next > now + 1 && next != u64::MAX {
-                hooks.on_idle_span(&mut self.parts, now + 1, next - 1);
-                self.now = next - 1;
             }
         }
         let mut port_issues = [0u64; 5];
@@ -713,8 +621,8 @@ impl Pipeline {
     fn retire<H: Hooks>(&mut self, now: u64, hooks: &mut H) {
         // Pop the due set off the completion heap and replay it in slot
         // order — exactly the set, and the order, the full window scan
-        // retired in. Heap entries are unique and `finish_at` is immutable
-        // after issue, so nothing here can be stale.
+        // retired in. A uop's completion key is fixed when it issues and it
+        // issues once, so no entry here can be stale.
         if self
             .retire_q
             .peek()
@@ -859,9 +767,8 @@ impl Pipeline {
                 continue;
             };
             fl.issued = true;
-            fl.finish_at = now + u64::from(fl.class.latency()) + extra;
-            let finish_at = fl.finish_at;
             let class = fl.class;
+            let finish_at = now + u64::from(class.latency()) + extra;
             self.retire_q.push(Reverse((finish_at, slot)));
             self.parts.sched.issue(slot, now);
             self.port_issues[usize::from(port)] += 1;
@@ -1029,7 +936,6 @@ impl Pipeline {
             ready2,
             port,
             issued: false,
-            finish_at: u64::MAX,
             mem_addr: uop.mem_addr,
             mob,
             seq: self.seq,
@@ -1173,7 +1079,7 @@ mod tests {
             releases: u64,
             sched_releases: u64,
             dl0: u64,
-            cycles: u64,
+            cycle_ends: Vec<u64>,
         }
         impl Hooks for Counter {
             fn regfile_released(
@@ -1191,20 +1097,30 @@ mod tests {
             fn dl0_accessed(&mut self, _c: &mut SetAssocCache, _o: &AccessOutcome, _now: u64) {
                 self.dl0 += 1;
             }
-            fn cycle_end(&mut self, _p: &mut Parts, _now: u64) {
-                self.cycles += 1;
+            fn cycle_end(&mut self, _p: &mut Parts, now: u64) {
+                self.cycle_ends.push(now);
             }
         }
         let mut pipe = Pipeline::new(PipelineConfig::default());
         let mut hooks = Counter::default();
-        let result = pipe.run(
+        let first = pipe.run(
             TraceSpec::new(Suite::Multimedia, 0).generate(5_000),
             &mut hooks,
         );
         assert_eq!(hooks.sched_releases, 5_000);
         assert!(hooks.releases > 0);
         assert!(hooks.dl0 > 0);
-        assert_eq!(hooks.cycles, result.cycles);
+        assert_eq!(hooks.cycle_ends.len() as u64, first.cycles);
+
+        // A second run on the same pipeline continues the clock: across
+        // both runs `cycle_end` sees every cycle exactly once, in order.
+        let second = pipe.run(
+            TraceSpec::new(Suite::SpecFp2000, 1).generate(2_000),
+            &mut hooks,
+        );
+        assert_eq!(first.cycles + second.cycles, pipe.now());
+        let expected: Vec<u64> = (1..=pipe.now()).collect();
+        assert_eq!(hooks.cycle_ends, expected);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Degenerate-input regression tests: empty and single-uop traces through
-//! both pipeline loops must produce finite statistics, and zero-span
-//! residency windows must report duty 0.0 instead of NaN.
+//! Degenerate-input regression tests: empty, single-uop and maximally
+//! stalled traces must produce finite statistics, and zero-span residency
+//! windows must report duty 0.0 instead of NaN.
 //!
 //! These pin the `total_time == 0` / `span == 0` guards in
 //! `uarch::bitstats` — a fleet profiling pass over a trivial workload must
@@ -8,6 +8,7 @@
 
 use tracegen::suite::Suite;
 use tracegen::trace::TraceSpec;
+use tracegen::uop::{Uop, UopClass};
 use uarch::pipeline::{NoHooks, Pipeline, PipelineConfig, RunResult};
 
 fn pipeline() -> Pipeline {
@@ -72,28 +73,36 @@ fn an_empty_trace_runs_cleanly_through_the_event_driven_loop() {
 }
 
 #[test]
-fn an_empty_trace_runs_cleanly_through_the_cycle_accurate_loop() {
+fn a_single_uop_trace_runs_cleanly() {
+    // All drain, no steady state.
     let mut pipe = pipeline();
-    let result = pipe.run_cycle_accurate(std::iter::empty(), &mut NoHooks);
-    assert_eq!(result.uops, 0);
-    assert_eq!(result.cpi(), 0.0);
+    let result = pipe.run(TraceSpec::new(Suite::Office, 0).generate(1), &mut NoHooks);
+    assert_eq!(result.uops, 1);
     assert_finite_duties(&mut pipe, &result);
 }
 
 #[test]
-fn a_single_uop_trace_runs_cleanly_through_both_loops() {
-    let trace = TraceSpec::new(Suite::Office, 0);
-    let mut event = pipeline();
-    let fast = event.run(trace.generate(1), &mut NoHooks);
-    assert_eq!(fast.uops, 1);
-    assert_finite_duties(&mut event, &fast);
-
-    let mut reference = pipeline();
-    let slow = reference.run_cycle_accurate(trace.generate(1), &mut NoHooks);
-    assert_eq!(slow.uops, 1);
-    assert_finite_duties(&mut reference, &slow);
-
-    // The event-driven loop is observably identical to the reference even
-    // on a one-uop trace (all drain, no steady state).
-    assert_eq!(fast, slow);
+fn a_maximal_stall_chain_retires_every_uop() {
+    // A serial dependency chain at the longest execution latency (FpMul):
+    // every uop waits on the previous one's result, so the run is mostly
+    // idle cycles between writebacks.
+    const LEN: u64 = 64;
+    let trace = (0..LEN).map(|i| {
+        let mut u = Uop::int_alu(1, 1, 2);
+        u.class = UopClass::FpMul;
+        u.port = UopClass::FpMul.port();
+        u.latency = UopClass::FpMul.latency();
+        u.pc = i * 4;
+        u
+    });
+    let mut pipe = pipeline();
+    let result = pipe.run(trace, &mut NoHooks);
+    assert_eq!(result.uops, LEN);
+    let latency = u64::from(UopClass::FpMul.latency());
+    assert!(
+        result.cycles >= LEN * latency,
+        "{} cycles for a {LEN}-uop chain at latency {latency}",
+        result.cycles
+    );
+    assert_finite_duties(&mut pipe, &result);
 }
