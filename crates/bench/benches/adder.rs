@@ -1,10 +1,14 @@
-//! Criterion benches for the gate-level adder substrate: netlist
-//! evaluation throughput and the Figure 4 pair search.
+//! Criterion benches for the gate-level substrate: adder netlist
+//! evaluation throughput, the Figure 4 pair search, and the netlist
+//! study's partitioned stress accumulation.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use gatesim::adder::{LadnerFischerAdder, RippleCarryAdder};
+use gatesim::blif::{self, fixtures};
+use gatesim::passes::{self, accumulate_partition, PassConfig};
 use gatesim::stress::StressTracker;
 use gatesim::vectors::{evaluate_all_pairs, SyntheticVector};
+use penelope::netlist_study::stimulus;
 
 fn bench_adders(c: &mut Criterion) {
     let lf = LadnerFischerAdder::new(32);
@@ -52,5 +56,43 @@ fn bench_stress(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_adders, bench_stress);
+/// Every partition cell of the multiplier fixture over one 4,096-vector
+/// stimulus campaign, at 1 and 4 partitions (the study's default).
+fn bench_accumulate_partition(c: &mut Criterion) {
+    const VECTORS: usize = 4096;
+    let model = blif::parse(fixtures::MULTIPLIER).expect("bundled fixture parses");
+    let mut group = c.benchmark_group("netlist/accumulate_partition");
+    group.throughput(Throughput::Elements(VECTORS as u64));
+    for partitions in [1usize, 4] {
+        let config = PassConfig {
+            partitions,
+            ..PassConfig::default()
+        };
+        let compiled = passes::compile(model.clone().into_netlist(), &config).expect("compiles");
+        let campaign = stimulus(compiled.netlist.inputs().len(), VECTORS, 7);
+        group.bench_function(&format!("partitions/{partitions}"), |b| {
+            b.iter(|| {
+                for part in 0..partitions {
+                    let cell = accumulate_partition(
+                        &compiled.netlist,
+                        &compiled.table,
+                        &compiled.partition,
+                        part,
+                        black_box(&campaign),
+                    )
+                    .expect("stimulus matches the netlist's inputs");
+                    black_box(cell);
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_adders,
+    bench_stress,
+    bench_accumulate_partition
+);
 criterion_main!(benches);

@@ -85,7 +85,30 @@ impl GateKind {
         }
     }
 
-    /// Evaluates the gate's logic function.
+    /// Evaluates the gate's logic function on 64 independent lanes at
+    /// once: bit `j` of the result is the output for bit `j` of every
+    /// input word. This is the one statement of the gates' semantics;
+    /// [`GateKind::eval`] is its single-lane wrapper.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is shorter than [`GateKind::arity`] (debug
+    /// builds reject any length other than the arity).
+    pub fn eval_word(self, inputs: &[u64]) -> u64 {
+        debug_assert_eq!(inputs.len(), self.arity(), "gate {self:?} arity");
+        match self {
+            GateKind::Inv => !inputs[0],
+            GateKind::Nand2 => !(inputs[0] & inputs[1]),
+            GateKind::Nand3 => !(inputs[0] & inputs[1] & inputs[2]),
+            GateKind::Nor2 => !(inputs[0] | inputs[1]),
+            GateKind::Nor3 => !(inputs[0] | inputs[1] | inputs[2]),
+            GateKind::Aoi21 => !((inputs[0] & inputs[1]) | inputs[2]),
+            GateKind::Oai21 => !((inputs[0] | inputs[1]) & inputs[2]),
+        }
+    }
+
+    /// Evaluates the gate's logic function for one input vector (lane 0
+    /// of [`GateKind::eval_word`]).
     ///
     /// # Panics
     ///
@@ -97,15 +120,11 @@ impl GateKind {
             "gate {self:?} expects {} inputs",
             self.arity()
         );
-        match self {
-            GateKind::Inv => !inputs[0],
-            GateKind::Nand2 => !(inputs[0] && inputs[1]),
-            GateKind::Nand3 => !(inputs[0] && inputs[1] && inputs[2]),
-            GateKind::Nor2 => !(inputs[0] || inputs[1]),
-            GateKind::Nor3 => !(inputs[0] || inputs[1] || inputs[2]),
-            GateKind::Aoi21 => !((inputs[0] && inputs[1]) || inputs[2]),
-            GateKind::Oai21 => !((inputs[0] || inputs[1]) && inputs[2]),
+        let mut words = [0u64; 3];
+        for (word, &input) in words.iter_mut().zip(inputs) {
+            *word = u64::from(input);
         }
+        self.eval_word(&words[..inputs.len()]) & 1 == 1
     }
 
     /// Short cell-library-style name.
@@ -215,6 +234,49 @@ mod tests {
         ] {
             let inputs = vec![false; kind.arity()];
             let _ = kind.eval(&inputs); // must not panic
+        }
+    }
+
+    /// Two input sets. In the first, lane `j` of input `i` is bit `i` of
+    /// `j`, so the 64 lanes cycle through every input combination. The
+    /// second is arbitrary, giving the lanes unrelated combinations.
+    const LANE_WORDS: [[u64; 3]; 2] = [
+        [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+        ],
+        [
+            0x0123_4567_89AB_CDEF,
+            0xF00D_CAFE_1234_5A5A,
+            0x9E37_79B9_7F4A_7C15,
+        ],
+    ];
+
+    #[test]
+    fn eval_word_matches_written_truth_tables() {
+        type Formula = fn(bool, bool, bool) -> bool;
+        let cases: [(GateKind, Formula); 7] = [
+            (GateKind::Inv, |a, _, _| !a),
+            (GateKind::Nand2, |a, b, _| !(a && b)),
+            (GateKind::Nand3, |a, b, c| !(a && b && c)),
+            (GateKind::Nor2, |a, b, _| !(a || b)),
+            (GateKind::Nor3, |a, b, c| !(a || b || c)),
+            (GateKind::Aoi21, |a, b, c| !((a && b) || c)),
+            (GateKind::Oai21, |a, b, c| !((a || b) && c)),
+        ];
+        for words in LANE_WORDS {
+            for (kind, formula) in cases {
+                let out = kind.eval_word(&words[..kind.arity()]);
+                for lane in 0..64 {
+                    let bit = |i: usize| (words[i] >> lane) & 1 == 1;
+                    assert_eq!(
+                        (out >> lane) & 1 == 1,
+                        formula(bit(0), bit(1), bit(2)),
+                        "{kind} lane {lane} of {words:x?}"
+                    );
+                }
+            }
         }
     }
 

@@ -10,9 +10,10 @@
 //! Contents:
 //!
 //! - [`netlist`]: netlist construction ([`netlist::NetlistBuilder`]) and
-//!   evaluation. Composite helpers (AND/OR/XOR/XNOR/MUX) expand into the
-//!   primitives, so transistor counting stays faithful.
-//! - [`gate`]: the CMOS primitives and their truth functions.
+//!   evaluation, 64 input vectors per forward pass. Composite helpers
+//!   (AND/OR/XOR/XNOR/MUX) expand into the primitives, so transistor
+//!   counting stays faithful.
+//! - [`gate`]: the CMOS primitives and their 64-lane truth functions.
 //! - [`pmos`]: transistor enumeration and width classes. Width is assigned
 //!   by output fanout, mirroring how high-fanout gates are upsized in a real
 //!   layout. Wide PMOS tolerate NBTI much better (paper §2, \[19\]).
@@ -46,7 +47,7 @@
 //!     let (a, b, cin) = v.operands(adder.width());
 //!     tracker.apply(adder.netlist(), &adder.input_assignment(a, b, cin), 1);
 //! }
-//! let worst = tracker.worst_narrow_duty(adder.netlist());
+//! let worst = tracker.worst_narrow_duty();
 //! assert!(worst.fraction() <= 1.0);
 //! ```
 

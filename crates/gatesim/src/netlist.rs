@@ -2,7 +2,9 @@
 //!
 //! A [`Netlist`] is a DAG of [`Gate`] primitives. The builder enforces
 //! topological construction (a gate may only read nets that already exist),
-//! so evaluation is a single forward pass over the gate list.
+//! so evaluation is a single forward pass over the gate list. The pass
+//! works on `u64` words, one input vector per bit lane
+//! ([`Netlist::evaluate_words`]); single-vector evaluation uses lane 0.
 
 use crate::error::Error;
 use crate::gate::{Gate, GateId, GateKind, NetId};
@@ -81,7 +83,7 @@ impl Netlist {
             self.inputs.len(),
             assignment.len()
         );
-        self.evaluate_unchecked(assignment)
+        self.evaluate_lane0(assignment)
     }
 
     /// Fallible twin of [`evaluate`](Self::evaluate): rejects an assignment
@@ -95,36 +97,54 @@ impl Netlist {
                 got: assignment.len(),
             });
         }
-        Ok(self.evaluate_unchecked(assignment))
+        Ok(self.evaluate_lane0(assignment))
     }
 
-    fn evaluate_unchecked(&self, assignment: &[bool]) -> NetValues {
-        let mut values = vec![false; self.net_count as usize];
+    /// One assignment in lane 0 of [`evaluate_words`](Self::evaluate_words).
+    fn evaluate_lane0(&self, assignment: &[bool]) -> NetValues {
+        let mut words = vec![0u64; self.net_count as usize];
         for (net, &value) in self.inputs.iter().zip(assignment) {
-            values[net.index()] = value;
+            words[net.index()] = u64::from(value);
         }
-        let mut scratch = [false; 3];
+        self.evaluate_words(&mut words);
+        NetValues { words }
+    }
+
+    /// Evaluates 64 independent vectors in one forward pass: `values[net]`
+    /// holds the net's value in each of the 64 lanes (bit `j` = vector
+    /// `j`). The caller sets the primary-input words; every gate-output
+    /// word is overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len()` differs from [`net_count`](Self::net_count).
+    pub fn evaluate_words(&self, values: &mut [u64]) {
+        assert_eq!(
+            values.len(),
+            self.net_count as usize,
+            "expected one word per net"
+        );
+        let mut scratch = [0u64; 3];
         for gate in &self.gates {
-            let n = gate.inputs().len();
-            for (slot, input) in scratch[..n].iter_mut().zip(gate.inputs()) {
+            let n = gate.inputs.len();
+            for (slot, input) in scratch[..n].iter_mut().zip(&gate.inputs) {
                 *slot = values[input.index()];
             }
-            values[gate.output().index()] = gate.kind().eval(&scratch[..n]);
+            values[gate.output.index()] = gate.kind.eval_word(&scratch[..n]);
         }
-        NetValues { values }
     }
 }
 
-/// Values of every net after one evaluation.
+/// Values of every net after one evaluation (lane 0 of the word pass).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetValues {
-    values: Vec<bool>,
+    words: Vec<u64>,
 }
 
 impl NetValues {
     /// Value of one net.
     pub fn get(&self, net: NetId) -> bool {
-        self.values[net.index()]
+        self.words[net.index()] & 1 == 1
     }
 
     /// Values of a bus of nets, packed LSB-first into a `u64`.
@@ -137,11 +157,6 @@ impl NetValues {
         bus.iter()
             .enumerate()
             .fold(0u64, |acc, (i, &net)| acc | (u64::from(self.get(net)) << i))
-    }
-
-    /// Raw slice of all net values (indexed by net index).
-    pub fn as_slice(&self) -> &[bool] {
-        &self.values
     }
 }
 

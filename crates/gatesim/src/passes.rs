@@ -288,8 +288,15 @@ pub struct PartitionStress {
 /// Accumulates NBTI stress for the transistors of one partition across a
 /// vector campaign (`vectors` = `(assignment, duration)` pairs). Hermetic:
 /// reads the shared netlist/table/partition, writes only its own
-/// counters. Assignment arity is validated, surfacing a typed error
-/// instead of misapplied stimulus.
+/// counters. Assignment arity is validated up front, in campaign order,
+/// surfacing a typed error instead of misapplied stimulus.
+///
+/// The campaign runs in blocks of 64 vectors, one per lane of
+/// [`Netlist::evaluate_words`]. Each block's durations are split into
+/// bit-planes (plane `k` has lane `j` set iff bit `k` of vector `j`'s
+/// duration is set), so a transistor's block charge is
+/// `Σ_k popcount(!driver & plane_k) << k` — the per-vector sum of the
+/// durations it spent at "0", the same integer modulo 2^64.
 pub fn accumulate_partition(
     netlist: &Netlist,
     table: &PmosTable,
@@ -297,23 +304,46 @@ pub fn accumulate_partition(
     part: usize,
     vectors: &[(Vec<bool>, u64)],
 ) -> Result<PartitionStress, Error> {
-    let owned: Vec<usize> = table
+    let inputs = netlist.inputs();
+    if let Some((assignment, _)) = vectors.iter().find(|(a, _)| a.len() != inputs.len()) {
+        return Err(Error::InputArity {
+            expected: inputs.len(),
+            got: assignment.len(),
+        });
+    }
+    let drivers: Vec<usize> = table
         .transistors()
         .iter()
-        .enumerate()
-        .filter(|(_, t)| partition.part_of(t.gate) == part)
-        .map(|(i, _)| i)
+        .filter(|t| partition.part_of(t.gate) == part)
+        .map(|t| t.driven_by.index())
         .collect();
-    let mut zero_time = vec![0u64; owned.len()];
+    let mut zero_time = vec![0u64; drivers.len()];
     let mut total_time = 0u64;
-    for (assignment, duration) in vectors {
-        let values = netlist.try_evaluate(assignment)?;
-        for (slot, &flat) in owned.iter().enumerate() {
-            if !values.get(table.transistors()[flat].driven_by) {
-                zero_time[slot] += duration;
+    let mut values = vec![0u64; netlist.net_count()];
+    let mut planes = Vec::with_capacity(64);
+    for block in vectors.chunks(64) {
+        for (i, net) in inputs.iter().enumerate() {
+            values[net.index()] = block
+                .iter()
+                .enumerate()
+                .fold(0, |word, (j, (a, _))| word | (u64::from(a[i]) << j));
+        }
+        let longest = block.iter().map(|&(_, d)| d).max().unwrap_or(0);
+        planes.clear();
+        planes.extend((0..u64::BITS - longest.leading_zeros()).map(|k| {
+            block
+                .iter()
+                .enumerate()
+                .fold(0u64, |plane, (j, &(_, d))| plane | (((d >> k) & 1) << j))
+        }));
+        netlist.evaluate_words(&mut values);
+        for (slot, &net) in zero_time.iter_mut().zip(&drivers) {
+            let zeros = !values[net];
+            for (k, &plane) in planes.iter().enumerate() {
+                *slot += u64::from((zeros & plane).count_ones()) << k;
             }
         }
-        total_time += duration;
+        total_time += block.iter().map(|&(_, d)| d).sum::<u64>();
     }
     Ok(PartitionStress {
         part,
@@ -332,7 +362,8 @@ pub struct MergedStress {
 
 impl MergedStress {
     /// Merges per-partition counters back into the global flat order.
-    /// `cells` must hold every partition exactly once.
+    /// `cells` must hold every partition exactly once, all observed over
+    /// the same total time (one campaign).
     pub fn merge(
         table: &PmosTable,
         partition: &Partition,
@@ -340,12 +371,18 @@ impl MergedStress {
     ) -> Result<Self, Error> {
         let mut seen = vec![false; partition.count()];
         let mut zero_time = vec![0u64; table.len()];
-        let mut total_time = 0u64;
+        let total_time = cells.first().map_or(0, |cell| cell.total_time);
         for cell in cells {
             if cell.part >= partition.count() || seen[cell.part] {
                 return Err(Error::pass(format!(
                     "merge received partition {} twice or out of range",
                     cell.part
+                )));
+            }
+            if cell.total_time != total_time {
+                return Err(Error::pass(format!(
+                    "partition {} cell observed total time {}, partition {} observed {}",
+                    cell.part, cell.total_time, cells[0].part, total_time
                 )));
             }
             seen[cell.part] = true;
@@ -367,7 +404,6 @@ impl MergedStress {
             for (slot, &flat) in owned.iter().enumerate() {
                 zero_time[flat] = cell.zero_time[slot];
             }
-            total_time = total_time.max(cell.total_time);
         }
         if seen.iter().any(|&s| !s) {
             return Err(Error::pass("merge is missing a partition cell"));
@@ -562,6 +598,23 @@ mod tests {
         let cell0 = accumulate_partition(n, &table, &partition, 0, &[]).expect("ok");
         assert!(MergedStress::merge(&table, &partition, std::slice::from_ref(&cell0)).is_err());
         assert!(MergedStress::merge(&table, &partition, &[cell0.clone(), cell0]).is_err());
+    }
+
+    #[test]
+    fn merge_rejects_cells_from_different_campaigns() {
+        let adder = LadnerFischerAdder::new(4);
+        let n = adder.netlist();
+        let table = PmosTable::with_default_threshold(n);
+        let partition = Partition::build(n, 2, 0).expect("builds");
+        let campaign = |duration| vec![(vec![false; n.inputs().len()], duration)];
+        let cell0 = accumulate_partition(n, &table, &partition, 0, &campaign(3)).expect("ok");
+        let cell1 = accumulate_partition(n, &table, &partition, 1, &campaign(5)).expect("ok");
+        let err = MergedStress::merge(&table, &partition, &[cell0, cell1])
+            .expect_err("cells disagree on total time");
+        assert!(
+            matches!(&err, Error::Pass { message } if message.contains("total time")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl StressTracker {
     /// Worst duty among *narrow* transistors only — wide PMOS "do not suffer
     /// from NBTI significantly" (§4.3), so the guardband of a block is set
     /// by its narrow devices.
-    pub fn worst_narrow_duty(&self, _netlist: &Netlist) -> Duty {
+    pub fn worst_narrow_duty(&self) -> Duty {
         self.duties()
             .filter(|(p, _)| p.width == WidthClass::Narrow)
             .map(|(_, d)| d)
@@ -167,8 +167,8 @@ impl StressTracker {
 
     /// Guardband this block requires under `model`, judged on narrow
     /// transistors.
-    pub fn guardband(&self, netlist: &Netlist, model: &GuardbandModel) -> Guardband {
-        model.guardband(self.worst_narrow_duty(netlist))
+    pub fn guardband(&self, model: &GuardbandModel) -> Guardband {
+        model.guardband(self.worst_narrow_duty())
     }
 
     /// Resets all accumulated stress (a fresh part).
@@ -238,7 +238,7 @@ mod tests {
         assert_eq!(t.table().wide_count(), 1);
         // 3 narrow at 100% out of 4 transistors total.
         assert!((t.narrow_fraction_at_or_above(1.0) - 0.75).abs() < 1e-12);
-        assert!((t.worst_narrow_duty(&n).fraction() - 1.0).abs() < 1e-12);
+        assert!((t.worst_narrow_duty().fraction() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -295,6 +295,6 @@ mod tests {
         t.apply(&n, &[true], 1);
         let model = GuardbandModel::paper_calibrated();
         // Both PMOS at 50% → minimum guardband.
-        assert_eq!(t.guardband(&n, &model), model.best_case());
+        assert_eq!(t.guardband(&model), model.best_case());
     }
 }

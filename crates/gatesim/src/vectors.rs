@@ -196,7 +196,7 @@ pub fn evaluate_pair(adder: &AdderNetlist, pair: VectorPair) -> PairStress {
     PairStress {
         pair,
         narrow_fully_stressed: tracker.narrow_fraction_at_or_above(1.0),
-        worst_narrow_duty: tracker.worst_narrow_duty(adder.netlist()),
+        worst_narrow_duty: tracker.worst_narrow_duty(),
     }
 }
 
@@ -245,7 +245,7 @@ fn evaluate_set(adder: &AdderNetlist, vectors: &[SyntheticVector]) -> SetStress 
     }
     SetStress {
         vectors: vectors.to_vec(),
-        worst_narrow_duty: tracker.worst_narrow_duty(adder.netlist()),
+        worst_narrow_duty: tracker.worst_narrow_duty(),
         narrow_fully_stressed: tracker.narrow_fraction_at_or_above(1.0),
     }
 }
@@ -425,8 +425,7 @@ impl MixedCampaign {
     where
         I: IntoIterator<Item = (u64, u64, bool)>,
     {
-        self.run(adder, real_inputs)
-            .guardband(adder.netlist(), model)
+        self.run(adder, real_inputs).guardband(model)
     }
 
     /// Fallible twin of [`guardband`](Self::guardband).
@@ -439,9 +438,7 @@ impl MixedCampaign {
     where
         I: IntoIterator<Item = (u64, u64, bool)>,
     {
-        Ok(self
-            .try_run(adder, real_inputs)?
-            .guardband(adder.netlist(), model))
+        Ok(self.try_run(adder, real_inputs)?.guardband(model))
     }
 }
 

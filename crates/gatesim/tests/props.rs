@@ -1,8 +1,12 @@
-//! Property-based tests: adder correctness over the full operand space and
-//! stress-tracking invariants.
+//! Property-based tests: adder correctness over the full operand space,
+//! stress-tracking invariants, and word-parallel partitioned stress
+//! against a per-vector oracle.
 
 use gatesim::adder::{LadnerFischerAdder, RippleCarryAdder};
-use gatesim::netlist::NetlistBuilder;
+use gatesim::blif::{self, fixtures};
+use gatesim::error::Error;
+use gatesim::netlist::{Netlist, NetlistBuilder};
+use gatesim::passes::{self, accumulate_partition, PassConfig};
 use gatesim::stress::StressTracker;
 use gatesim::vectors::{evaluate_pair, SyntheticVector, VectorPair};
 use proptest::prelude::*;
@@ -87,6 +91,130 @@ proptest! {
         prop_assert_eq!(tracker.observed_time(), total);
         for (_, duty) in tracker.duties() {
             prop_assert!((0.0..=1.0).contains(&duty.fraction()));
+        }
+    }
+}
+
+/// The bundled multiplier and decoder plus a 16-bit adder exported to
+/// BLIF and read back: the three sources the netlist study ages.
+fn study_fixtures() -> Vec<Netlist> {
+    let adder = blif::export(LadnerFischerAdder::new(16).netlist(), "lf16");
+    [fixtures::MULTIPLIER, fixtures::DECODER, adder.as_str()]
+        .iter()
+        .map(|text| blif::parse(text).expect("fixture parses").into_netlist())
+        .collect()
+}
+
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Durations exercised per campaign: all-equal at each edge value (0, the
+/// unit, the stimulus's maximum 7, a 41-bit span), then blocks mixing
+/// those values, then arbitrary 41-bit durations.
+const EDGE_DURATIONS: [u64; 4] = [0, 1, 7, 1 << 40];
+const DURATION_MODES: usize = EDGE_DURATIONS.len() + 2;
+
+fn duration(mode: usize, seed: u64, j: usize) -> u64 {
+    let r = mix(seed ^ 0xD0A7 ^ (j as u64) << 20);
+    match mode {
+        m if m < EDGE_DURATIONS.len() => EDGE_DURATIONS[m],
+        m if m == EDGE_DURATIONS.len() => EDGE_DURATIONS[r as usize % EDGE_DURATIONS.len()],
+        _ => r & ((1 << 41) - 1),
+    }
+}
+
+fn campaign(inputs: usize, len: usize, mode: usize, seed: u64) -> Vec<(Vec<bool>, u64)> {
+    (0..len)
+        .map(|j| {
+            let bits = (0..inputs)
+                .map(|i| mix(seed ^ (j as u64) << 32 ^ i as u64) & 1 == 1)
+                .collect();
+            (bits, duration(mode, seed, j))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every partition cell's counters equal the plain per-vector sum:
+    /// one `evaluate` per vector, `+= duration` for each owned transistor
+    /// whose driving net is at "0". Campaign lengths straddle the 64-lane
+    /// blocks; durations cover zero, one plane, three planes and 41.
+    #[test]
+    fn accumulate_partition_matches_a_per_vector_oracle(seed in any::<u64>()) {
+        for netlist in study_fixtures() {
+            for len in [0usize, 1, 63, 64, 65, 130] {
+                for mode in 0..DURATION_MODES {
+                    let vectors = campaign(netlist.inputs().len(), len, mode, seed);
+                    let compiled_for = |partitions| {
+                        let config = PassConfig { partitions, seed, ..PassConfig::default() };
+                        passes::compile(netlist.clone(), &config).expect("compiles")
+                    };
+                    let base = compiled_for(1);
+                    let mut oracle = vec![0u64; base.table.len()];
+                    let mut total = 0u64;
+                    for (assignment, duration) in &vectors {
+                        let values = base.netlist.evaluate(assignment);
+                        for (flat, pmos) in base.table.transistors().iter().enumerate() {
+                            if !values.get(pmos.driven_by) {
+                                oracle[flat] += duration;
+                            }
+                        }
+                        total += duration;
+                    }
+                    for parts in 1..=5 {
+                        let compiled = compiled_for(parts);
+                        for part in 0..parts {
+                            let cell = accumulate_partition(
+                                &compiled.netlist, &compiled.table, &compiled.partition,
+                                part, &vectors,
+                            ).expect("arity matches");
+                            let expected: Vec<u64> = compiled.table.transistors().iter()
+                                .zip(&oracle)
+                                .filter(|(t, _)| compiled.partition.part_of(t.gate) == part)
+                                .map(|(_, &z)| z)
+                                .collect();
+                            prop_assert_eq!(cell.part, part);
+                            prop_assert_eq!(cell.total_time, total);
+                            prop_assert_eq!(
+                                &cell.zero_time, &expected,
+                                "len {} mode {} parts {} part {}", len, mode, parts, part
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A wrong-arity vector anywhere in the campaign (mid-block included)
+    /// fails the cell with the error `try_evaluate` gives for the first
+    /// such vector, even when a later one is wrong in another way.
+    #[test]
+    fn accumulate_partition_rejects_the_first_bad_vector(
+        bad in 0usize..129,
+        short in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        for netlist in study_fixtures() {
+            let inputs = netlist.inputs().len();
+            let mut vectors = campaign(inputs, 130, 4, seed);
+            vectors[bad].0 = vec![false; if short { inputs - 1 } else { inputs + 1 }];
+            vectors[129].0 = vec![true; inputs + 2];
+            let expected = netlist.try_evaluate(&vectors[bad].0).expect_err("bad arity");
+            prop_assert!(matches!(expected, Error::InputArity { .. }), "{expected}");
+            let compiled = passes::compile(netlist, &PassConfig::default()).expect("compiles");
+            for part in 0..compiled.partition.count() {
+                let err = accumulate_partition(
+                    &compiled.netlist, &compiled.table, &compiled.partition, part, &vectors,
+                ).expect_err("bad vector is rejected");
+                prop_assert_eq!(&err, &expected);
+            }
         }
     }
 }

@@ -53,7 +53,7 @@ fn study(name: &str, adder: &AdderNetlist) {
     for util in [1.0, 0.30, 0.21, 0.11] {
         let campaign = MixedCampaign::new(util, best.pair);
         let tracker = campaign.run(adder, inputs.iter().copied());
-        let duty = tracker.worst_narrow_duty(adder.netlist());
+        let duty = tracker.worst_narrow_duty();
         let gb = model.guardband(duty);
         let ext = lifetime
             .extension_factor(Duty::FULL, duty)

@@ -211,7 +211,7 @@ proptest! {
             .fold(nbti_model::duty::Duty::ZERO, |w, d| if d > w { d } else { w });
         prop_assert_eq!(
             model.guardband(narrow_worst),
-            tracker.guardband(adder.netlist(), &model)
+            tracker.guardband(&model)
         );
     }
 }
